@@ -207,6 +207,11 @@ def cmd_op_table(cfg: RunConfig) -> int:
 
 
 def _verify_results(cfg: RunConfig):
+    # A cap below one turns every capped check into a passing skip.
+    for flag, cap in (("--max-subsets", cfg.max_subsets),
+                      ("--max-partitions", cfg.max_partitions)):
+        if cap < 1:
+            raise InvalidParameter(f"{flag} must be positive, got {cap}")
     if cfg.corpus is not None:
         if cfg.corpus > ENUM_CAP:
             raise InvalidParameter(
@@ -215,6 +220,9 @@ def _verify_results(cfg: RunConfig):
         for n in range(2, cfg.corpus + 1):
             for i, lat in enumerate(enumerate_lattices(n, frozenset(("complemented",)))):
                 entries.append(entry_for(f"enum{n}.{i}", lat))
+        if not entries:
+            raise InvalidParameter(
+                f"no complemented lattice has at most {cfg.corpus} elements")
         return corpus_suite(entries, cfg.max_subsets, cfg.max_partitions, cfg.seed)
     if cfg.lattice is None and cfg.file is None:
         return corpus_suite(default_corpus(), cfg.max_subsets,

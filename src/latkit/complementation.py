@@ -10,6 +10,7 @@ are called closed; they form a complete ortholattice under inclusion.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -22,6 +23,7 @@ from .core import (
     is_convex,
     is_modular,
 )
+from .errors import InvalidParameter
 from .report import CheckResult, PropertyReport
 from .setops import set_le1
 
@@ -43,11 +45,15 @@ def complements(lat: Lattice, a: int) -> frozenset:
 
 
 def plus(lat: Lattice, a: frozenset) -> frozenset:
-    """Common complements of all members; the whole carrier for empty input."""
+    """Common complements of all members; the whole carrier for empty input.
+    Raises InvalidParameter for an id outside 0..n-1."""
     if not a:
         return lat.universe
+    ids = sorted(a)
+    if ids[0] < 0 or ids[-1] >= lat.n:
+        raise InvalidParameter(f"ids {ids} are not all in 0..{lat.n - 1}")
     cs = complement_sets(lat)
-    items = iter(sorted(a))
+    items = iter(ids)
     acc = cs[next(items)]
     for x in items:
         if not acc:
@@ -207,74 +213,82 @@ def closure_lattice(lat: Lattice) -> ClosureReport:
 
 # -- quantified checks -------------------------------------------------
 
-def _mask_set(mask: int) -> frozenset:
-    out = []
-    i = 0
-    while mask:
-        if mask & 1:
-            out.append(i)
-        mask >>= 1
-        i += 1
-    return frozenset(out)
+def _ids(mask: int) -> list[int]:
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _subset_order(mask: int):
+    """Sort key of a subset mask: size, then the sorted member ids."""
+    ids = _ids(mask)
+    return len(ids), ids
 
 
 def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
                       sample_pairs: int = 10000, seed: int = 0) -> PropertyReport:
     """The Galois-connection laws of plus, over all subset pairs when the
-    lattice is small enough, otherwise over seeded random pairs."""
+    lattice is small enough, otherwise over seeded random pairs. Subsets
+    are bit masks; a witness is the first failing subset in (size, ids)
+    order, or the first failing pair in the order the pairs were drawn."""
     n = lat.n
+    full = (1 << n) - 1
     if n <= exhaustive_limit:
-        subsets = [_mask_set(m) for m in range(1 << n)]
-        pairs = [(a, b) for a in subsets for b in subsets]
+        singles = range(1 << n)
+        pairs = itertools.product(singles, repeat=2)
+        mode = "exhaustive"
     else:
         rng = random.Random(seed)
-        top_mask = (1 << n) - 1
-        subsets = None
-        pairs = [(_mask_set(rng.randint(0, top_mask)), _mask_set(rng.randint(0, top_mask)))
+        pairs = [(rng.randint(0, full), rng.randint(0, full))
                  for _ in range(sample_pairs)]
+        singles = {m for pair in pairs for m in pair}
+        mode = f"{sample_pairs} sampled pairs"
 
-    pmap: dict[frozenset, frozenset] = {}
+    cmask = [sum(1 << x for x in s) for s in complement_sets(lat)]
+    pmap: dict[int, int] = {}
 
-    def pl(s: frozenset) -> frozenset:
+    def pl(m: int) -> int:
         try:
-            return pmap[s]
+            return pmap[m]
         except KeyError:
-            v = pmap[s] = plus(lat, s)
-            return v
+            acc, rest = full, m
+            while rest and acc:
+                low = rest & -rest
+                acc &= cmask[low.bit_length() - 1]
+                rest ^= low
+            pmap[m] = acc
+            return acc
 
-    fmt = lambda s: format_element_set(lat, s)
-    ext_ok, ext_wit = True, None
-    triple_ok, triple_wit = True, None
-    disj_ok, disj_wit = True, None
-    anti_ok, anti_wit = True, None
-    adj_ok, adj_wit = True, None
-
-    singles = {a for a, _ in pairs} | {b for _, b in pairs}
-    for a in sorted(singles, key=lambda s: (len(s), sorted(s))):
+    ext_bad, triple_bad, disj_bad = [], [], []
+    for a in singles:
         p = pl(a)
         dp = pl(p)
-        if ext_ok and not a <= dp:
-            ext_ok, ext_wit = False, f"A={fmt(a)}"
-        if triple_ok and pl(dp) != p:
-            triple_ok, triple_wit = False, f"A={fmt(a)}"
-        if disj_ok and p & dp:
-            disj_ok, disj_wit = False, f"A={fmt(a)}"
+        if a & ~dp:
+            ext_bad.append(a)
+        if pl(dp) != p:
+            triple_bad.append(a)
+        if p & dp:
+            disj_bad.append(a)
 
+    fmt = lambda m: format_element_set(lat, frozenset(_ids(m)))
+
+    def first(bad: list[int]) -> str | None:
+        return f"A={fmt(min(bad, key=_subset_order))}" if bad else None
+
+    anti_wit = adj_wit = None
     for a, b in pairs:
-        if anti_ok and a <= b and not pl(b) <= pl(a):
-            anti_ok, anti_wit = False, f"A={fmt(a)} B={fmt(b)}"
-        if adj_ok and (a <= pl(b)) != (b <= pl(a)):
-            adj_ok, adj_wit = False, f"A={fmt(a)} B={fmt(b)}"
-        if not anti_ok and not adj_ok:
+        pa, pb = pmap[a], pmap[b]
+        if anti_wit is None and not a & ~b and pb & ~pa:
+            anti_wit = f"A={fmt(a)} B={fmt(b)}"
+        if adj_wit is None and (not a & ~pb) != (not b & ~pa):
+            adj_wit = f"A={fmt(a)} B={fmt(b)}"
+        if anti_wit is not None and adj_wit is not None:
             break
 
-    mode = "exhaustive" if subsets is not None else f"{sample_pairs} sampled pairs"
     return PropertyReport(f"galois laws ({mode})", (
-        CheckResult("A contained in A++", ext_ok, ext_wit),
-        CheckResult("A+++ equals A+", triple_ok, triple_wit),
-        CheckResult("A+ disjoint from A++", disj_ok, disj_wit),
-        CheckResult("A within B implies B+ within A+", anti_ok, anti_wit),
-        CheckResult("A within B+ iff B within A+", adj_ok, adj_wit),
+        CheckResult("A contained in A++", not ext_bad, first(ext_bad)),
+        CheckResult("A+++ equals A+", not triple_bad, first(triple_bad)),
+        CheckResult("A+ disjoint from A++", not disj_bad, first(disj_bad)),
+        CheckResult("A within B implies B+ within A+", anti_wit is None, anti_wit),
+        CheckResult("A within B+ iff B within A+", adj_wit is None, adj_wit),
     ))
 
 
@@ -318,15 +332,6 @@ def check_complement_sets(lat: Lattice) -> PropertyReport:
     return PropertyReport("complement set structure", tuple(res))
 
 
-def _nonempty_plus_family(lat: Lattice) -> set[frozenset]:
-    """All plus(A) for nonempty A: intersection closure of the a+ sets."""
-    fam: set[frozenset] = set()
-    for g in complement_sets(lat):
-        fam |= {g & s for s in fam}
-        fam.add(g)
-    return fam
-
-
 def check_modular_antichains(lat: Lattice) -> PropertyReport:
     """In a complemented modular lattice every plus set of a nonempty
     input, and every double_plus of an element, is an antichain."""
@@ -342,8 +347,10 @@ def check_modular_antichains(lat: Lattice) -> PropertyReport:
     res.append(CheckResult("every a+ an antichain", ok, wit, asserted))
 
     ok, wit = True, None
-    for s in sorted(_nonempty_plus_family(lat), key=lambda s: (len(s), sorted(s))):
-        if not is_antichain(lat, s):
+    for s in closed_sets(lat):
+        # The closed sets are the A+ of nonempty A plus the carrier (the
+        # plus of the empty set), which no a+ can equal.
+        if s != lat.universe and not is_antichain(lat, s):
             ok, wit = False, f"A+={fmt(s)}"
             break
     res.append(CheckResult("A+ an antichain for every nonempty A", ok, wit, asserted))

@@ -15,6 +15,7 @@ from .errors import (
     NoBounds,
     NotALattice,
     ParseError,
+    SizeCapExceeded,
     TrivialLattice,
 )
 from .report import CheckResult, PropertyReport
@@ -51,6 +52,8 @@ class Lattice:
         n = len(labels)
         if n == 0:
             raise InvalidParameter("a lattice needs at least one element")
+        if n > ELEMENT_CAP:
+            raise SizeCapExceeded(f"{n} elements exceed the {ELEMENT_CAP} element cap")
         if len(set(labels)) != n:
             raise InvalidParameter("duplicate element labels")
         up = tuple(int(m) for m in up_masks)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .complementation import satisfies_dblplus_identity
 from .core import (ELEMENT_CAP, Lattice, canonical_key, is_complemented,
-                   is_distributive, is_modular)
+                   is_distributive, is_isomorphic, is_modular)
 from .errors import InvalidParameter, SizeCapExceeded
 
 ENUM_CAP = 7
@@ -248,14 +248,12 @@ def default_corpus(enum_max: int = 6) -> list[CorpusEntry]:
     """Named lattices plus every complemented lattice with at most
     enum_max elements, deduplicated up to isomorphism."""
     entries: list[CorpusEntry] = []
-    seen: set = set()
 
     def add(name: str, lat: Lattice):
-        key = canonical_key(lat)
-        if key in seen:
-            return
-        seen.add(key)
-        entries.append(entry_for(name, lat))
+        # is_isomorphic compares sizes first, so a canonical key is only
+        # computed for a lattice that shares its size with an earlier entry.
+        if not any(is_isomorphic(lat, e.lattice) for e in entries):
+            entries.append(entry_for(name, lat))
 
     add("N5", make_N5())
     add("M3", make_M3())

@@ -105,36 +105,40 @@ class DSLattice:
 
 def all_deductive_systems(lat: Lattice, cap: int = SUBSET_CAP) -> DSLattice:
     """Enumerate deductive systems. Candidates are pruned to order filters
-    containing top, since every deductive system is one."""
+    containing top, since every deductive system is one. The family is
+    memoised on the lattice; the cap is checked on every call."""
     if lat.n > cap:
         raise SizeCapExceeded(
             f"deductive-system enumeration needs at most {cap} elements, got {lat.n}")
-    systems = [f for f in _order_filters(lat)
-               if lat.top in f and is_deductive_system(lat, f)]
-    systems.sort(key=lambda s: (len(s), sorted(s)))
-    index = {s: i for i, s in enumerate(systems)}
-    k = len(systems)
 
-    meet = [[0] * k for _ in range(k)]
-    join = [[0] * k for _ in range(k)]
-    for i, a in enumerate(systems):
-        for j, b in enumerate(systems):
-            inter = a & b
-            if inter not in index:
-                raise InvalidParameter(
-                    "internal: intersection of deductive systems escaped the family")
-            meet[i][j] = index[inter]
-            union = a | b
-            sup = lat.universe
-            for c in systems:
-                if union <= c and c < sup:
-                    sup = c
-            join[i][j] = index[sup]
+    def compute():
+        systems = [f for f in _order_filters(lat)
+                   if lat.top in f and is_deductive_system(lat, f)]
+        systems.sort(key=lambda s: (len(s), sorted(s)))
+        index = {s: i for i, s in enumerate(systems)}
+        k = len(systems)
 
-    bottom = index[min(systems, key=len)] if systems else -1
-    top = index[lat.universe]
-    return DSLattice(tuple(systems), tuple(tuple(r) for r in meet),
-                     tuple(tuple(r) for r in join), bottom, top)
+        meet = [[0] * k for _ in range(k)]
+        join = [[0] * k for _ in range(k)]
+        for i, a in enumerate(systems):
+            for j, b in enumerate(systems):
+                inter = a & b
+                if inter not in index:
+                    raise InvalidParameter(
+                        "internal: intersection of deductive systems escaped the family")
+                meet[i][j] = index[inter]
+                union = a | b
+                sup = lat.universe
+                for c in systems:
+                    if union <= c and c < sup:
+                        sup = c
+                join[i][j] = index[sup]
+
+        bottom = index[min(systems, key=len)] if systems else -1
+        top = index[lat.universe]
+        return DSLattice(tuple(systems), tuple(tuple(r) for r in meet),
+                         tuple(tuple(r) for r in join), bottom, top)
+    return lat.memo("deductive_systems", compute)
 
 
 def ds_lattice_is_boolean_2n(lat: Lattice) -> bool:
@@ -293,9 +297,20 @@ def has_sp_implies(lat: Lattice, rel: Relation) -> bool:
     return True
 
 
-def is_compatible_ds(lat: Lattice, d: frozenset) -> bool:
+def is_compatible_ds(lat: Lattice, d) -> bool:
     """Deductive system satisfying the two closure conditions that make
-    Theta(d) a substitution-friendly equivalence with kernel d."""
+    Theta(d) a substitution-friendly equivalence with kernel d. Verdicts
+    are memoised on the lattice; d may be any iterable of element ids."""
+    d = frozenset(d)
+    verdicts = lat.memo("compatible_ds", dict)
+    try:
+        return verdicts[d]
+    except KeyError:
+        ok = verdicts[d] = _is_compatible_ds(lat, d)
+        return ok
+
+
+def _is_compatible_ds(lat: Lattice, d: frozenset) -> bool:
     if not is_deductive_system(lat, d):
         return False
     it = implies_table(lat)

@@ -35,11 +35,3 @@ class PropertyReport:
             if r.name == name:
                 return r
         raise KeyError(name)
-
-
-def combine(title: str, reports: list[PropertyReport]) -> PropertyReport:
-    merged: list[CheckResult] = []
-    for rep in reports:
-        for r in rep.results:
-            merged.append(CheckResult(f"{rep.title}: {r.name}", r.passed, r.witness, r.asserted))
-    return PropertyReport(title, tuple(merged))

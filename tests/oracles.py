@@ -8,8 +8,10 @@ library paths can be checked against structurally different code.
 from __future__ import annotations
 
 import itertools
+import random
 
-from latkit.core import Lattice
+from latkit.core import Lattice, format_element_set
+from latkit.report import CheckResult, PropertyReport
 
 
 def brute_complements(lat: Lattice, a: int) -> frozenset:
@@ -22,6 +24,53 @@ def brute_plus(lat: Lattice, subset: frozenset) -> frozenset:
     for a in subset:
         out &= brute_complements(lat, a)
     return frozenset(out)
+
+
+def brute_galois_report(lat: Lattice, exhaustive_limit: int = 6,
+                        sample_pairs: int = 10000, seed: int = 0) -> PropertyReport:
+    """check_galois_laws on frozensets through brute_plus: the same subset
+    pairs (every pair, or the same seeded randint stream), scanned in the
+    same witness order."""
+    n = lat.n
+    as_set = lambda m: frozenset(i for i in range(n) if m >> i & 1)
+    if n <= exhaustive_limit:
+        subsets = [as_set(m) for m in range(1 << n)]
+        pairs = [(a, b) for a in subsets for b in subsets]
+        mode = "exhaustive"
+    else:
+        rng = random.Random(seed)
+        top = (1 << n) - 1
+        pairs = [(as_set(rng.randint(0, top)), as_set(rng.randint(0, top)))
+                 for _ in range(sample_pairs)]
+        mode = f"{sample_pairs} sampled pairs"
+
+    cache: dict[frozenset, frozenset] = {}
+
+    def pl(s):
+        if s not in cache:
+            cache[s] = brute_plus(lat, s)
+        return cache[s]
+
+    fmt = lambda s: format_element_set(lat, s)
+    wit = dict.fromkeys(("ext", "triple", "disj", "anti", "adj"))
+    singles = {a for a, _ in pairs} | {b for _, b in pairs}
+    for a in sorted(singles, key=lambda s: (len(s), sorted(s))):
+        p, dp = pl(a), pl(pl(a))
+        for law, holds in (("ext", a <= dp), ("triple", pl(dp) == p),
+                           ("disj", not p & dp)):
+            if wit[law] is None and not holds:
+                wit[law] = f"A={fmt(a)}"
+    for a, b in pairs:
+        for law, holds in (("anti", not a <= b or pl(b) <= pl(a)),
+                           ("adj", (a <= pl(b)) == (b <= pl(a)))):
+            if wit[law] is None and not holds:
+                wit[law] = f"A={fmt(a)} B={fmt(b)}"
+    names = {"ext": "A contained in A++", "triple": "A+++ equals A+",
+             "disj": "A+ disjoint from A++",
+             "anti": "A within B implies B+ within A+",
+             "adj": "A within B+ iff B within A+"}
+    return PropertyReport(f"galois laws ({mode})", tuple(
+        CheckResult(names[law], wit[law] is None, wit[law]) for law in names))
 
 
 def brute_closed_sets(lat: Lattice) -> set[frozenset]:

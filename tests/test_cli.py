@@ -145,6 +145,18 @@ def test_verify_corpus_cap(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--corpus", "0"], ["--corpus", "1"], ["--corpus", "-3"],
+    ["--lattice", "N5", "--max-subsets", "0"],
+    ["--lattice", "N5", "--max-subsets", "-1"],
+    ["--max-partitions", "0"], ["--corpus", "4", "--max-partitions", "-2"],
+])
+def test_verify_rejects_vacuous_runs(capsys, argv):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and "error:" in err
+    assert "passed" not in out
+
+
 def test_verify_reports_failures(capsys, monkeypatch):
     import latkit.cli as climod
     bad = PropertyReport("doctored", (CheckResult("always wrong", False,

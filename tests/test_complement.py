@@ -7,15 +7,17 @@ from latkit.complementation import (check_complement_sets,
                                     check_dblplus_characterization,
                                     check_galois_laws, check_modular_antichains,
                                     check_order_reversal, closed_sets,
-                                    closure_lattice, complements,
+                                    closure_lattice, complement_sets,
+                                    complements,
                                     dblplus_injective, double_plus,
                                     find_closed_element_in_dblplus, is_closed,
                                     plus, satisfies_dblplus_identity)
-from latkit.core import is_complemented, is_modular
-from latkit.corpus import make_boolean, make_chain, make_fig2, make_M3, make_N5
+from latkit.core import Lattice, is_complemented, is_modular
+from latkit.corpus import (enumerate_lattices, make_boolean, make_chain,
+                           make_fig2, make_M3, make_N5)
 from latkit.errors import InvalidParameter
 
-from .oracles import brute_closed_sets, brute_plus
+from .oracles import brute_closed_sets, brute_galois_report, brute_plus
 
 POOL = [make_N5(), make_M3(), make_boolean(3), make_fig2()]
 
@@ -173,3 +175,43 @@ def test_chain_has_no_complements():
     assert complements(c3, mid) == frozenset()
     assert plus(c3, frozenset((mid,))) == frozenset()
     assert not is_complemented(c3)
+
+
+def test_plus_rejects_foreign_ids(n5):
+    for bad in ({99}, {0, 5}, {-1}):
+        with pytest.raises(InvalidParameter):
+            plus(n5, frozenset(bad))
+
+
+def test_galois_laws_match_frozenset_reference():
+    for n in range(2, 6):
+        for lat in enumerate_lattices(n):
+            assert check_galois_laws(lat) == brute_galois_report(lat), lat
+    for lat in (make_fig2(), make_boolean(4)):
+        for seed in (0, 1):
+            assert check_galois_laws(lat, seed=seed) == \
+                brute_galois_report(lat, seed=seed), (lat, seed)
+
+
+def with_complement_table(lat, table):
+    """A fresh copy of lat whose memo holds the given complement sets."""
+    out = Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements], name=lat.name)
+    out.memo("complement_sets", lambda: tuple(frozenset(s) for s in table))
+    return out
+
+
+def test_galois_laws_can_fail():
+    # N5 with the complement 1 of 0 dropped: 1 still lists 0, so the
+    # relation is no longer symmetric and {1}++ loses 1.
+    n5 = make_N5()
+    table = [set(s) for s in complement_sets(n5)]
+    table[n5.bottom].discard(n5.top)
+    rep = check_galois_laws(with_complement_table(n5, table))
+    bad = rep.find("A contained in A++")
+    assert not rep.ok and not bad.passed and bad.witness == "A=1"
+    # fig2 (sampled) with every element its own complement: A+ meets A++.
+    fig2 = make_fig2()
+    rep = check_galois_laws(with_complement_table(fig2, [fig2.elements] * fig2.n))
+    bad = rep.find("A+ disjoint from A++")
+    assert rep.title == "galois laws (10000 sampled pairs)"
+    assert not bad.passed and bad.witness == "A=∅"

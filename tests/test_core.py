@@ -12,7 +12,8 @@ from latkit.core import (Lattice, canonical_key, check_lattice_axioms,
 from latkit.corpus import (enumerate_lattices, make_boolean, make_chain,
                            make_fig2, make_M3, make_Mn, make_N5)
 from latkit.errors import (CycleDetected, InvalidParameter, NoBounds,
-                           NotALattice, ParseError, TrivialLattice)
+                           NotALattice, ParseError, SizeCapExceeded,
+                           TrivialLattice)
 
 from .oracles import relabel
 
@@ -83,6 +84,12 @@ def test_from_covers_rejects_cycle():
 def test_from_covers_rejects_missing_bounds():
     with pytest.raises(NoBounds):
         Lattice.from_covers(["a", "b"], [])
+
+
+def test_element_cap_enforced_on_construction():
+    labels = [f"c{i}" for i in range(70)]
+    with pytest.raises(SizeCapExceeded):
+        Lattice.from_covers(labels, list(zip(labels, labels[1:])))
 
 
 def test_single_element_rejected():

@@ -197,3 +197,18 @@ def test_chain_systems():
     c2 = make_chain(2)
     dsl = all_deductive_systems(c2)
     assert set(dsl.systems) == {frozenset((c2.top,)), c2.universe}
+
+
+def test_memoised_systems_keep_the_cap():
+    lat = make_boolean(3)
+    assert all_deductive_systems(lat) is all_deductive_systems(lat)
+    with pytest.raises(SizeCapExceeded):
+        all_deductive_systems(lat, cap=4)
+
+
+def test_compatibility_accepts_plain_sets():
+    lat = make_Mn(3)
+    compat = compatible_systems(make_Mn(3))
+    for d in all_deductive_systems(lat).systems:
+        assert is_compatible_ds(lat, set(d)) == (d in compat)
+    assert not is_compatible_ds(lat, {lat.bottom})
