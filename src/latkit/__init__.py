@@ -20,7 +20,7 @@ from .connectives import (OpTable, check_adjointness, check_conjunction_laws,
                           check_implication_meet_link, check_minimal_dblplus,
                           check_modus_laws, implies, implies_sets,
                           implies_union, odot, odot_sets, op_table)
-from .core import (ELEMENT_CAP, ElementSet, Lattice, canonical_key,
+from .core import (ELEMENT_CAP, Lattice, canonical_key,
                    check_lattice_axioms, format_element_set, is_antichain,
                    is_complemented, is_convex, is_distributive, is_isomorphic,
                    is_modular, load_lattice_file, parse_lattice_text)
@@ -48,7 +48,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CheckResult", "ClosureReport", "CorpusEntry", "CycleDetected",
-    "DSLattice", "ELEMENT_CAP", "ElementSet", "InvalidParameter", "Lattice",
+    "DSLattice", "ELEMENT_CAP", "InvalidParameter", "Lattice",
     "LatticeError", "NoBounds", "NotALattice", "OpTable", "ParseError",
     "PropertyReport", "SizeCapExceeded", "TrivialLattice",
     "all_deductive_systems", "all_meet_congruences", "canonical_key",

@@ -23,7 +23,7 @@ from .deduction import (PARTITION_CAP, SUBSET_CAP, all_deductive_systems,
                         ds_lattice_is_boolean_2n, is_compatible_ds)
 from .errors import InvalidParameter, LatticeError
 from .render import render_op_table, render_plus_table, to_dot
-from .report import PropertyReport
+from .report import SKIPPED, PropertyReport
 from .suite import GALOIS_SAMPLE_PAIRS, corpus_suite, lattice_suite
 
 
@@ -240,12 +240,14 @@ def _verify_text(results) -> tuple[str, bool]:
         checks = sum(len(r.results) for r in reports)
         fails = [(r.title, c) for r in reports
                  for c in r.results if c.asserted and not c.passed]
-        info = sum(1 for r in reports for c in r.results if not c.asserted)
+        info = [c for r in reports for c in r.results if not c.asserted]
+        skips = sum(1 for c in info if c.name == SKIPPED)
         if fails:
             all_ok = False
         status = "ok  " if not fails else "FAIL"
         lines.append(f"{status} {name}: {checks} checks, "
-                     f"{len(fails)} failures, {info} informational")
+                     f"{len(fails)} failures, {len(info) - skips} informational"
+                     + (f", {skips} skipped" if skips else ""))
         for title, c in fails:
             where = f" [{c.witness}]" if c.witness else ""
             lines.append(f"     {title}: {c.name}{where}")

@@ -10,22 +10,24 @@ are called closed; they form a complete ortholattice under inclusion.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
+from itertools import product
 
 from .core import (
     Lattice,
+    check_ids,
     find_n5_through_bounds,
     format_element_set,
     is_antichain,
     is_complemented,
     is_convex,
     is_modular,
+    labelled,
 )
 from .errors import InvalidParameter
-from .report import CheckResult, PropertyReport
-from .setops import set_le1
+from .report import CheckResult, PropertyReport, law
+from .setops import set_join, set_le1, set_meet
 
 
 def complement_sets(lat: Lattice) -> tuple[frozenset, ...]:
@@ -41,6 +43,8 @@ def complement_sets(lat: Lattice) -> tuple[frozenset, ...]:
 
 
 def complements(lat: Lattice, a: int) -> frozenset:
+    """The complements of a. Raises InvalidParameter for an id outside 0..n-1."""
+    check_ids(lat, a)
     return complement_sets(lat)[a]
 
 
@@ -233,7 +237,7 @@ def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
     full = (1 << n) - 1
     if n <= exhaustive_limit:
         singles = range(1 << n)
-        pairs = itertools.product(singles, repeat=2)
+        pairs = product(singles, repeat=2)
         mode = "exhaustive"
     else:
         rng = random.Random(seed)
@@ -295,18 +299,13 @@ def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
 def check_complement_sets(lat: Lattice) -> PropertyReport:
     """Order-theoretic facts about the per-element complement sets."""
     asserted = is_complemented(lat)
-    fmt = lambda s: format_element_set(lat, s)
-    res = []
+    cs = complement_sets(lat)
+    els = lat.elements
+    dps = [double_plus(lat, frozenset((a,))) for a in els]
+    res = [law("a in a++ and a+++ = a+", lambda a: a in dps[a] and plus(lat, dps[a]) == cs[a],
+               product(els), asserted, labelled(lat, "a"))]
 
-    ok, wit = True, None
-    for a in lat.elements:
-        sa = frozenset((a,))
-        if a not in double_plus(lat, sa) or plus(lat, double_plus(lat, sa)) != plus(lat, sa):
-            ok, wit = False, f"a={lat.labels[a]}"
-            break
-    res.append(CheckResult("a in a++ and a+++ = a+", ok, wit, asserted))
-
-    all_antichains = all(is_antichain(lat, complements(lat, a)) for a in lat.elements)
+    all_antichains = all(is_antichain(lat, cs[a]) for a in els)
     pentagon = find_n5_through_bounds(lat)
     ok = all_antichains == (pentagon is None)
     wit = None
@@ -315,13 +314,8 @@ def check_complement_sets(lat: Lattice) -> PropertyReport:
         wit = f"antichains={all_antichains} pentagon={found}"
     res.append(CheckResult("all a+ antichains iff no pentagon through bounds",
                            ok, wit, asserted))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        if not is_convex(lat, complements(lat, a)):
-            ok, wit = False, f"a={lat.labels[a]} a+={fmt(complements(lat, a))}"
-            break
-    res.append(CheckResult("every a+ convex", ok, wit, asserted))
+    res.append(law("every a+ convex", lambda a: is_convex(lat, cs[a]), product(els),
+                   asserted, lambda a: f"a={lat.labels[a]} a+={format_element_set(lat, cs[a])}"))
 
     inj = dblplus_injective(lat)
     ident = satisfies_dblplus_identity(lat)
@@ -337,75 +331,42 @@ def check_modular_antichains(lat: Lattice) -> PropertyReport:
     input, and every double_plus of an element, is an antichain."""
     asserted = is_complemented(lat) and is_modular(lat)
     fmt = lambda s: format_element_set(lat, s)
-    res = []
-
-    ok, wit = True, None
-    for a in lat.elements:
-        if not is_antichain(lat, complements(lat, a)):
-            ok, wit = False, f"a={lat.labels[a]} a+={fmt(complements(lat, a))}"
-            break
-    res.append(CheckResult("every a+ an antichain", ok, wit, asserted))
-
-    ok, wit = True, None
-    for s in closed_sets(lat):
+    cs = complement_sets(lat)
+    dps = [double_plus(lat, frozenset((a,))) for a in lat.elements]
+    return PropertyReport("antichain structure", (
+        law("every a+ an antichain", lambda a: is_antichain(lat, cs[a]),
+            product(lat.elements), asserted, lambda a: f"a={lat.labels[a]} a+={fmt(cs[a])}"),
         # The closed sets are the A+ of nonempty A plus the carrier (the
         # plus of the empty set), which no a+ can equal.
-        if s != lat.universe and not is_antichain(lat, s):
-            ok, wit = False, f"A+={fmt(s)}"
-            break
-    res.append(CheckResult("A+ an antichain for every nonempty A", ok, wit, asserted))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        dp = double_plus(lat, frozenset((a,)))
-        if not is_antichain(lat, dp):
-            ok, wit = False, f"a={lat.labels[a]} a++={fmt(dp)}"
-            break
-    res.append(CheckResult("every a++ an antichain", ok, wit, asserted))
-    return PropertyReport("antichain structure", tuple(res))
+        law("A+ an antichain for every nonempty A", lambda s: is_antichain(lat, s),
+            ((s,) for s in closed_sets(lat) if s != lat.universe), asserted,
+            lambda s: f"A+={fmt(s)}"),
+        law("every a++ an antichain", lambda a: is_antichain(lat, dps[a]),
+            product(lat.elements), asserted, lambda a: f"a={lat.labels[a]} a++={fmt(dps[a])}"),
+    ))
 
 
 def check_order_reversal(lat: Lattice) -> PropertyReport:
     """Three order-reversal statements and their entailments: the first
     implies the second, and the second and third are equivalent."""
+    cs = complement_sets(lat)
+    pairs = list(product(lat.elements, repeat=2))
+    xy = labelled(lat, "xy")
+    r1 = law("(x^y)+ absorbs x+ v y+ pointwise",
+             lambda x, y: set_le1(lat, set_join(lat, cs[x], cs[y]), cs[lat.meet(x, y)]),
+             pairs, False, xy)
+    r2 = law("x below y reverses complement sets",
+             lambda x, y: not lat.leq(x, y) or set_le1(lat, cs[y], cs[x]), pairs, False, xy)
+    r3 = law("(x v y)+ below x+ ^ y+ pointwise",
+             lambda x, y: set_le1(lat, cs[lat.join(x, y)], set_meet(lat, cs[x], cs[y])),
+             pairs, False, xy)
+    s1, s2, s3 = r1.passed, r2.passed, r3.passed
     asserted = is_complemented(lat)
-    from .setops import set_join, set_meet
-
-    def stmt1():
-        for x in lat.elements:
-            for y in lat.elements:
-                px = complements(lat, x)
-                py = complements(lat, y)
-                target = plus(lat, frozenset((lat.meet(x, y),)))
-                if not set_le1(lat, set_join(lat, px, py), target):
-                    return False, f"x={lat.labels[x]} y={lat.labels[y]}"
-        return True, None
-
-    def stmt2():
-        for x in lat.elements:
-            for y in lat.elements:
-                if lat.leq(x, y) and not set_le1(lat, complements(lat, y), complements(lat, x)):
-                    return False, f"x={lat.labels[x]} y={lat.labels[y]}"
-        return True, None
-
-    def stmt3():
-        for x in lat.elements:
-            for y in lat.elements:
-                left = plus(lat, frozenset((lat.join(x, y),)))
-                right = set_meet(lat, complements(lat, x), complements(lat, y))
-                if not set_le1(lat, left, right):
-                    return False, f"x={lat.labels[x]} y={lat.labels[y]}"
-        return True, None
-
-    s1, w1 = stmt1()
-    s2, w2 = stmt2()
-    s3, w3 = stmt3()
     return PropertyReport("order reversal", (
-        CheckResult("(x^y)+ absorbs x+ v y+ pointwise", s1, w1, asserted=False),
-        CheckResult("x below y reverses complement sets", s2, w2, asserted=False),
-        CheckResult("(x v y)+ below x+ ^ y+ pointwise", s3, w3, asserted=False),
+        r1, r2, r3,
         CheckResult("first statement implies second", (not s1) or s2,
-                    None if ((not s1) or s2) else f"s1 holds, s2 fails at {w2}", asserted),
+                    None if ((not s1) or s2) else f"s1 holds, s2 fails at {r2.witness}",
+                    asserted),
         CheckResult("second and third equivalent", s2 == s3,
                     None if s2 == s3 else f"s2={s2} s3={s3}", asserted),
     ))
@@ -417,24 +378,19 @@ def check_dblplus_characterization(lat: Lattice) -> PropertyReport:
     (x v y) ^ z == 0 or (x ^ y) v z == 1."""
     hyp = is_complemented(lat) and is_modular(lat)
     ident = satisfies_dblplus_identity(lat)
-
-    cond = True
-    wit = None
-    for x in lat.elements:
-        for y in sorted(double_plus(lat, frozenset((x,)))):
-            if any(lat.meet(lat.join(x, y), z) == lat.bottom
-                   or lat.join(lat.meet(x, y), z) == lat.top
-                   for z in complements(lat, y)):
-                continue
-            cond = False
-            wit = f"x={lat.labels[x]} y={lat.labels[y]}"
-            break
-        if not cond:
-            break
+    cs = complement_sets(lat)
+    meet, join = lat.meet, lat.join
+    splitting = law(
+        "splitting condition holds",
+        lambda x, y: any(meet(join(x, y), z) == lat.bottom or join(meet(x, y), z) == lat.top
+                         for z in cs[y]),
+        ((x, y) for x in lat.elements for y in sorted(double_plus(lat, frozenset((x,))))),
+        False, labelled(lat, "xy"))
+    cond = splitting.passed
 
     return PropertyReport("double complement characterization", (
         CheckResult("identity x++ = {x} holds", ident, None, asserted=False),
-        CheckResult("splitting condition holds", cond, wit, asserted=False),
+        splitting,
         CheckResult("identity iff splitting condition", ident == cond,
                     None if ident == cond else f"identity={ident} condition={cond}",
                     hyp),
@@ -445,15 +401,15 @@ def check_descending_chains(lat: Lattice) -> PropertyReport:
     """Every element's double_plus contains a closed singleton when the
     double complement map is injective."""
     asserted = is_complemented(lat) and dblplus_injective(lat)
-    ok, wit = True, None
-    for a in lat.elements:
-        b = find_closed_element_in_dblplus(lat, a)
+    found = ((a, find_closed_element_in_dblplus(lat, a)) for a in lat.elements)
+
+    def witness(a, b):
         if b is None:
-            ok, wit = False, f"a={lat.labels[a]}"
-            break
-        if b not in double_plus(lat, frozenset((a,))):
-            ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} escapes a++"
-            break
+            return f"a={lat.labels[a]}"
+        return f"a={lat.labels[a]} b={lat.labels[b]} escapes a++"
+
     return PropertyReport("descending chains", (
-        CheckResult("a++ contains a closed singleton", ok, wit, asserted),
+        law("a++ contains a closed singleton",
+            lambda a, b: b is not None and b in double_plus(lat, frozenset((a,))),
+            found, asserted, witness),
     ))

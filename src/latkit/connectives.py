@@ -10,20 +10,26 @@ the singleton of the top element.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
-from .complementation import complements, double_plus, plus
-from .core import Lattice, format_element_set, is_complemented, is_modular
-from .report import CheckResult, PropertyReport
+from .complementation import complement_sets, double_plus, plus
+from .core import (Lattice, check_ids, format_element_set, is_complemented, is_modular,
+                   labelled)
+from .report import CheckResult, PropertyReport, law
 from .setops import set_join, set_le, set_le1, set_le2, set_meet
 
 
 def implies(lat: Lattice, a: int, b: int) -> frozenset:
+    """a+ v (a ^ b). Raises InvalidParameter for an id outside 0..n-1."""
+    check_ids(lat, a, b)
     m = lat.meet(a, b)
-    return frozenset(lat.join(x, m) for x in complements(lat, a))
+    return frozenset(lat.join(x, m) for x in complement_sets(lat)[a])
 
 
 def odot(lat: Lattice, a: int, b: int) -> frozenset:
-    return frozenset(lat.meet(b, lat.join(a, x)) for x in complements(lat, b))
+    """b ^ (a v b+). Raises InvalidParameter for an id outside 0..n-1."""
+    check_ids(lat, a, b)
+    return frozenset(lat.meet(b, lat.join(a, x)) for x in complement_sets(lat)[b])
 
 
 def implies_sets(lat: Lattice, a: frozenset, b: frozenset) -> frozenset:
@@ -85,117 +91,50 @@ def is_mn_shaped(lat: Lattice) -> bool:
                for m in middles)
 
 
-_TOP = lambda lat: frozenset((lat.top,))
-
-
 def check_implication_laws(lat: Lattice) -> PropertyReport:
     """Elementary implication laws on a complemented lattice, plus an
     informational survey of converse failures for the second law."""
     asserted = is_complemented(lat)
     it = implies_table(lat)
-    fmt = lambda s: format_element_set(lat, s)
-    top = _TOP(lat)
-    res = []
+    cs = complement_sets(lat)
+    dps = [double_plus(lat, frozenset((a,))) for a in lat.elements]
+    els, top, leq, meet = lat.elements, frozenset((lat.top,)), lat.leq, lat.meet
+    ab, abc = labelled(lat, "ab"), labelled(lat, "abc")
 
-    ok, wit = True, None
-    for a in lat.elements:
-        if it[a][lat.bottom] != complements(lat, a) or it[lat.top][a] != frozenset((a,)):
-            ok, wit = False, f"a={lat.labels[a]}"
-            break
-    res.append(CheckResult("a->0 = a+ and 1->a = {a}", ok, wit, asserted))
+    def meet_closed(s):
+        return all(meet(x, y) in s for x in s for y in s)
 
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            if lat.leq(a, b) and it[a][b] != top:
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("a below b gives a->b = {1}", ok, wit, asserted))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        dp = double_plus(lat, frozenset((a,)))
-        for b in lat.elements:
-            if (it[a][b] == top) != (lat.meet(a, b) in dp):
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("a->b = {1} iff a^b in a++", ok, wit, asserted))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        ca = complements(lat, a)
-        for b in ca:
-            if it[a][b] != ca:
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("b complements a gives a->b = a+", ok, wit, asserted))
-
-    ok, wit = True, None
-    for b in lat.elements:
-        for c in lat.elements:
-            if not lat.leq(b, c):
-                continue
-            for a in lat.elements:
-                if not (set_le1(lat, it[a][b], it[a][c])
-                        and set_le2(lat, it[a][b], it[a][c])):
-                    ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} c={lat.labels[c]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    res.append(CheckResult("b below c makes a->b below a->c (both set orders)",
-                           ok, wit, asserted))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        dp = double_plus(lat, frozenset((a,)))
-        if not all(lat.meet(x, y) in dp for x in dp for y in dp):
-            continue
-        for b in lat.elements:
-            if it[a][b] != top:
-                continue
-            for c in lat.elements:
-                if it[a][c] == top and it[a][lat.meet(b, c)] != top:
-                    ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} c={lat.labels[c]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    res.append(CheckResult("meet-closed a++ makes true consequents meet-stable",
-                           ok, wit, asserted))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        dpa = double_plus(lat, frozenset((a,)))
-        for b in lat.elements:
-            if dpa <= double_plus(lat, frozenset((b,))) and it[a][b] == top:
-                if it[b][a] != top:
-                    ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]}"
-                    break
-        if not ok:
-            break
-    res.append(CheckResult("a++ within b++ and a->b = {1} force b->a = {1}",
-                           ok, wit, asserted))
-
-    converse = None
-    for a in lat.elements:
-        for b in lat.elements:
-            if it[a][b] == top and not lat.leq(a, b):
-                converse = f"a={lat.labels[a]} b={lat.labels[b]}: a->b = {{1}} without a below b"
-                break
-        if converse:
-            break
-    res.append(CheckResult("converse failures of the truth law exist",
-                           converse is not None, converse, asserted=False))
-    return PropertyReport("implication laws", tuple(res))
+    converse = next(((a, b) for a, b in product(els, els)
+                     if it[a][b] == top and not leq(a, b)), None)
+    return PropertyReport("implication laws", (
+        law("a->0 = a+ and 1->a = {a}",
+            lambda a: it[a][lat.bottom] == cs[a] and it[lat.top][a] == frozenset((a,)),
+            product(els), asserted, labelled(lat, "a")),
+        law("a below b gives a->b = {1}", lambda a, b: it[a][b] == top,
+            ((a, b) for a, b in product(els, els) if leq(a, b)), asserted, ab),
+        law("a->b = {1} iff a^b in a++",
+            lambda a, b: (it[a][b] == top) == (meet(a, b) in dps[a]),
+            product(els, els), asserted, ab),
+        law("b complements a gives a->b = a+", lambda a, b: it[a][b] == cs[a],
+            ((a, b) for a in els for b in cs[a]), asserted, ab),
+        law("b below c makes a->b below a->c (both set orders)",
+            lambda a, b, c: (set_le1(lat, it[a][b], it[a][c])
+                             and set_le2(lat, it[a][b], it[a][c])),
+            ((a, b, c) for b, c in product(els, els) if leq(b, c) for a in els),
+            asserted, abc),
+        law("meet-closed a++ makes true consequents meet-stable",
+            lambda a, b, c: it[a][c] != top or it[a][meet(b, c)] == top,
+            ((a, b, c) for a in els if meet_closed(dps[a])
+             for b in els if it[a][b] == top for c in els), asserted, abc),
+        law("a++ within b++ and a->b = {1} force b->a = {1}",
+            lambda a, b: it[b][a] == top,
+            ((a, b) for a, b in product(els, els) if dps[a] <= dps[b] and it[a][b] == top),
+            asserted, ab),
+        CheckResult("converse failures of the truth law exist", converse is not None,
+                    None if converse is None
+                    else ab(*converse) + ": a->b = {1} without a below b",
+                    asserted=False),
+    ))
 
 
 def check_minimal_dblplus(lat: Lattice) -> PropertyReport:
@@ -203,16 +142,17 @@ def check_minimal_dblplus(lat: Lattice) -> PropertyReport:
     a->x = {1} iff a below x, for every x."""
     asserted = is_complemented(lat)
     it = implies_table(lat)
-    top = _TOP(lat)
-    ok, wit = True, None
-    for a in lat.elements:
-        minimal = is_minimal_in_dblplus(lat, a)
-        order_like = all((it[a][x] == top) == lat.leq(a, x) for x in lat.elements)
-        if minimal != order_like:
-            ok, wit = False, f"a={lat.labels[a]} minimal={minimal} order_like={order_like}"
-            break
+    top = frozenset((lat.top,))
+
+    def order_like(a):
+        return all((it[a][x] == top) == lat.leq(a, x) for x in lat.elements)
+
     return PropertyReport("minimality in a++", (
-        CheckResult("minimal in a++ iff a->x truth matches order", ok, wit, asserted),
+        law("minimal in a++ iff a->x truth matches order",
+            lambda a: is_minimal_in_dblplus(lat, a) == order_like(a),
+            product(lat.elements), asserted,
+            lambda a: f"a={lat.labels[a]} minimal={is_minimal_in_dblplus(lat, a)} "
+                      f"order_like={order_like(a)}"),
     ))
 
 
@@ -221,71 +161,34 @@ def check_modus_laws(lat: Lattice) -> PropertyReport:
     complemented modular lattice."""
     asserted = is_complemented(lat) and is_modular(lat)
     it = implies_table(lat)
-    fmt = lambda s: format_element_set(lat, s)
-    res = []
+    cs = complement_sets(lat)
+    els = lat.elements
+    ab = labelled(lat, "ab")
 
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            got = set_meet(lat, frozenset((a,)), it[a][b])
-            if got != frozenset((lat.meet(a, b),)):
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} got={fmt(got)}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("modus ponens: a ^ (a->b) = {a^b}", ok, wit, asserted))
+    def ponens(a, b):
+        return set_meet(lat, frozenset((a,)), it[a][b])
 
-    ok, wit = True, None
-    for a in lat.elements:
-        pa = complements(lat, a)
-        for b in lat.elements:
-            pb = complements(lat, b)
-            if not set_le(lat, pa, pb):
-                continue
-            if set_meet(lat, it[a][b], pb) != pa:
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("modus tollens: a+ below b+ gives (a->b) ^ b+ = a+",
-                           ok, wit, asserted))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            for c in it[a][b]:
-                if it[a][c] != it[a][b]:
-                    ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} c={lat.labels[c]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    res.append(CheckResult("value stability: c in a->b gives a->c = a->b",
-                           ok, wit, asserted))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            if implies_sets(lat, frozenset((a,)), it[a][b]) != it[a][b]:
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("self application: a->(a->b) = a->b", ok, wit, asserted))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        pa = complements(lat, a)
-        for b in lat.elements:
-            if set_le(lat, pa, frozenset((b,))) and it[a][b] != frozenset((b,)):
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("absorbed antecedent: a+ below b gives a->b = {b}",
-                           ok, wit, asserted))
-    return PropertyReport("modus laws", tuple(res))
+    return PropertyReport("modus laws", (
+        law("modus ponens: a ^ (a->b) = {a^b}",
+            lambda a, b: ponens(a, b) == frozenset((lat.meet(a, b),)),
+            product(els, els), asserted,
+            lambda a, b: f"{ab(a, b)} got={format_element_set(lat, ponens(a, b))}"),
+        law("modus tollens: a+ below b+ gives (a->b) ^ b+ = a+",
+            lambda a, b: set_meet(lat, it[a][b], cs[b]) == cs[a],
+            ((a, b) for a, b in product(els, els) if set_le(lat, cs[a], cs[b])),
+            asserted, ab),
+        law("value stability: c in a->b gives a->c = a->b",
+            lambda a, b, c: it[a][c] == it[a][b],
+            ((a, b, c) for a, b in product(els, els) for c in it[a][b]),
+            asserted, labelled(lat, "abc")),
+        law("self application: a->(a->b) = a->b",
+            lambda a, b: implies_sets(lat, frozenset((a,)), it[a][b]) == it[a][b],
+            product(els, els), asserted, ab),
+        law("absorbed antecedent: a+ below b gives a->b = {b}",
+            lambda a, b: it[a][b] == frozenset((b,)),
+            ((a, b) for a, b in product(els, els) if set_le(lat, cs[a], frozenset((b,)))),
+            asserted, ab),
+    ))
 
 
 def check_implication_meet_link(lat: Lattice) -> PropertyReport:
@@ -293,35 +196,21 @@ def check_implication_meet_link(lat: Lattice) -> PropertyReport:
     complemented modular lattice."""
     asserted = is_complemented(lat) and is_modular(lat)
     it = implies_table(lat)
-    res = []
+    leq, meet = lat.leq, lat.meet
+    triples = list(product(lat.elements, repeat=3))
+    abc = labelled(lat, "abc")
 
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            for c in lat.elements:
-                if set_le1(lat, frozenset((a,)), it[b][c]) and not lat.leq(lat.meet(a, b), c):
-                    ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} c={lat.labels[c]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    res.append(CheckResult("a below b->c pointwise forces a^b below c", ok, wit, asserted))
+    def below_pointwise(x, b, c):
+        return set_le1(lat, frozenset((x,)), it[b][c])
 
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            m = lat.meet(a, b)
-            for c in lat.elements:
-                if (lat.leq(m, c)) != set_le1(lat, frozenset((m,)), it[b][c]):
-                    ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} c={lat.labels[c]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    res.append(CheckResult("a^b below c iff a^b below b->c pointwise", ok, wit, asserted))
-    return PropertyReport("implication meet link", tuple(res))
+    return PropertyReport("implication meet link", (
+        law("a below b->c pointwise forces a^b below c",
+            lambda a, b, c: not below_pointwise(a, b, c) or leq(meet(a, b), c),
+            triples, asserted, abc),
+        law("a^b below c iff a^b below b->c pointwise",
+            lambda a, b, c: leq(meet(a, b), c) == below_pointwise(meet(a, b), b, c),
+            triples, asserted, abc),
+    ))
 
 
 def check_diamond_residuation(lat: Lattice) -> PropertyReport:
@@ -329,40 +218,21 @@ def check_diamond_residuation(lat: Lattice) -> PropertyReport:
     witnesses full residuation: a^b below c iff a below b->c pointwise."""
     asserted = is_mn_shaped(lat)
     it = implies_table(lat)
-    top = _TOP(lat)
-    res = []
+    cs = complement_sets(lat)
+    els, leq = lat.elements, lat.leq
 
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            if lat.leq(a, b):
-                expected = top
-            elif a == lat.top:
-                expected = frozenset((b,))
-            else:
-                expected = complements(lat, a)
-            if it[a][b] != expected:
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("case form: {1} / {b} / a+", ok, wit, asserted))
+    def expected(a, b):
+        if leq(a, b):
+            return frozenset((lat.top,))
+        return frozenset((b,)) if a == lat.top else cs[a]
 
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            m = lat.meet(a, b)
-            for c in lat.elements:
-                if lat.leq(m, c) != set_le1(lat, frozenset((a,)), it[b][c]):
-                    ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} c={lat.labels[c]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    res.append(CheckResult("residuation: a^b below c iff a below b->c pointwise",
-                           ok, wit, asserted))
-    return PropertyReport("diamond residuation", tuple(res))
+    return PropertyReport("diamond residuation", (
+        law("case form: {1} / {b} / a+", lambda a, b: it[a][b] == expected(a, b),
+            product(els, els), asserted, labelled(lat, "ab")),
+        law("residuation: a^b below c iff a below b->c pointwise",
+            lambda a, b, c: leq(lat.meet(a, b), c) == set_le1(lat, frozenset((a,)), it[b][c]),
+            product(els, repeat=3), asserted, labelled(lat, "abc")),
+    ))
 
 
 def check_conjunction_laws(lat: Lattice) -> PropertyReport:
@@ -370,77 +240,45 @@ def check_conjunction_laws(lat: Lattice) -> PropertyReport:
     comp = is_complemented(lat)
     modular = comp and is_modular(lat)
     ot = odot_table(lat)
-    fmt = lambda s: format_element_set(lat, s)
-    res = []
-
+    els, leq = lat.elements, lat.leq
     zero = frozenset((lat.bottom,))
-    ok, wit = True, None
-    for a in lat.elements:
-        if ot[lat.bottom][a] != zero or ot[a][lat.bottom] != zero:
-            ok, wit = False, f"a={lat.labels[a]}"
-            break
-    res.append(CheckResult("0 absorbs: 0(.)a = a(.)0 = {0}", ok, wit, comp))
+    ab = labelled(lat, "ab")
 
-    ok, wit = True, None
-    for a in lat.elements:
-        if ot[lat.top][a] != frozenset((a,)) or ot[a][lat.top] != frozenset((a,)):
-            ok, wit = False, f"a={lat.labels[a]}"
-            break
-    res.append(CheckResult("1 is a unit: 1(.)a = a(.)1 = {a}", ok, wit, comp))
+    def got(a, b):
+        return f"{ab(a, b)} got={format_element_set(lat, ot[a][b])}"
 
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            m = frozenset((lat.meet(a, b),))
-            if not (set_le(lat, m, ot[a][b]) and set_le(lat, ot[a][b], frozenset((b,)))):
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} got={fmt(ot[a][b])}"
-                break
-            if lat.leq(b, a) and ot[a][b] != frozenset((b,)):
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("a^b below a(.)b below b; b below a collapses to {b}",
-                           ok, wit, comp))
+    def bounded(a, b):
+        return (set_le(lat, frozenset((lat.meet(a, b),)), ot[a][b])
+                and set_le(lat, ot[a][b], frozenset((b,))))
 
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            if not lat.leq(a, b):
-                continue
-            for c in lat.elements:
-                if not (set_le1(lat, ot[a][c], ot[b][c])
-                        and set_le2(lat, ot[a][c], ot[b][c])):
-                    ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} c={lat.labels[c]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    res.append(CheckResult("a below b makes a(.)c below b(.)c (both set orders)",
-                           ok, wit, comp))
+    def order_is_odot(a, b):
+        return leq(a, b) == (ot[a][b] == frozenset((a,)))
 
-    ok, wit = True, None
-    for a in lat.elements:
-        if ot[a][a] != frozenset((a,)):
-            ok, wit = False, f"a={lat.labels[a]} got={fmt(ot[a][a])}"
-            break
-    res.append(CheckResult("idempotence: a(.)a = {a}", ok, wit, comp))
-
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            if lat.leq(a, b) != (ot[a][b] == frozenset((a,))):
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} got={fmt(ot[a][b])}"
-                break
-            if odot_sets(lat, ot[a][b], frozenset((b,))) != ot[a][b]:
-                ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} reapplication moved"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("a below b iff a(.)b = {a}; (a(.)b)(.)b = a(.)b",
-                           ok, wit, modular))
-    return PropertyReport("conjunction laws", tuple(res))
+    return PropertyReport("conjunction laws", (
+        law("0 absorbs: 0(.)a = a(.)0 = {0}",
+            lambda a: ot[lat.bottom][a] == zero and ot[a][lat.bottom] == zero,
+            product(els), comp, labelled(lat, "a")),
+        law("1 is a unit: 1(.)a = a(.)1 = {a}",
+            lambda a: ot[lat.top][a] == frozenset((a,)) == ot[a][lat.top],
+            product(els), comp, labelled(lat, "a")),
+        law("a^b below a(.)b below b; b below a collapses to {b}",
+            lambda a, b: bounded(a, b) and (not leq(b, a) or ot[a][b] == frozenset((b,))),
+            product(els, els), comp, lambda a, b: got(a, b) if not bounded(a, b) else ab(a, b)),
+        law("a below b makes a(.)c below b(.)c (both set orders)",
+            lambda a, b, c: (set_le1(lat, ot[a][c], ot[b][c])
+                             and set_le2(lat, ot[a][c], ot[b][c])),
+            ((a, b, c) for a, b in product(els, els) if leq(a, b) for c in els),
+            comp, labelled(lat, "abc")),
+        law("idempotence: a(.)a = {a}", lambda a: ot[a][a] == frozenset((a,)),
+            product(els), comp,
+            lambda a: f"a={lat.labels[a]} got={format_element_set(lat, ot[a][a])}"),
+        law("a below b iff a(.)b = {a}; (a(.)b)(.)b = a(.)b",
+            lambda a, b: (order_is_odot(a, b)
+                          and odot_sets(lat, ot[a][b], frozenset((b,))) == ot[a][b]),
+            product(els, els), modular,
+            lambda a, b: got(a, b) if not order_is_odot(a, b)
+            else f"{ab(a, b)} reapplication moved"),
+    ))
 
 
 def check_adjointness(lat: Lattice) -> PropertyReport:
@@ -448,19 +286,9 @@ def check_adjointness(lat: Lattice) -> PropertyReport:
     asserted = is_complemented(lat) and is_modular(lat)
     it = implies_table(lat)
     ot = odot_table(lat)
-    ok, wit = True, None
-    for a in lat.elements:
-        for b in lat.elements:
-            for c in lat.elements:
-                left = set_le(lat, ot[a][b], frozenset((c,)))
-                right = set_le(lat, frozenset((a,)), it[b][c])
-                if left != right:
-                    ok, wit = False, f"a={lat.labels[a]} b={lat.labels[b]} c={lat.labels[c]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
     return PropertyReport("adjointness", (
-        CheckResult("a(.)b below c iff a below b->c", ok, wit, asserted),
+        law("a(.)b below c iff a below b->c",
+            lambda a, b, c: (set_le(lat, ot[a][b], frozenset((c,)))
+                             == set_le(lat, frozenset((a,)), it[b][c])),
+            product(lat.elements, repeat=3), asserted, labelled(lat, "abc")),
     ))

@@ -9,6 +9,8 @@ violations raise the matching subclass of LatticeError.
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import (
     CycleDetected,
     InvalidParameter,
@@ -18,10 +20,7 @@ from .errors import (
     SizeCapExceeded,
     TrivialLattice,
 )
-from .report import CheckResult, PropertyReport
-
-# Subsets of lattice elements are plain frozensets of ids.
-ElementSet = frozenset
+from .report import CheckResult, PropertyReport, law
 
 # Practical ceiling for subset-quantified work; callers that enumerate
 # subsets refuse larger inputs instead of silently degrading.
@@ -247,6 +246,19 @@ def format_element_set(lat: Lattice, s: frozenset) -> str:
     return "{" + ",".join(labs) + "}"
 
 
+def check_ids(lat: Lattice, *ids: int) -> None:
+    """Raises InvalidParameter unless every id is an element of lat."""
+    for i in ids:
+        if not 0 <= i < lat.n:
+            raise InvalidParameter(f"id {i} is not in 0..{lat.n - 1}")
+
+
+def labelled(lat: Lattice, names: str):
+    """Witness for law(): the leading ids of a tuple as "a=x b=y", with
+    one letter of names per id and the element labels as values."""
+    return lambda *ids: " ".join(f"{k}={lat.labels[i]}" for k, i in zip(names, ids))
+
+
 # -- text format -----------------------------------------------------
 
 def parse_lattice_text(text: str) -> Lattice:
@@ -404,46 +416,24 @@ def find_n5_sublattice(lat: Lattice):
 
 def check_lattice_axioms(lat: Lattice) -> PropertyReport:
     """Cross-check the precomputed tables against the order relation."""
-    res = []
-
-    def first_fail(pred, what):
-        for a in lat.elements:
-            for b in lat.elements:
-                if not pred(a, b):
-                    return CheckResult(what, False,
-                                       f"a={lat.labels[a]} b={lat.labels[b]}")
-        return CheckResult(what, True)
-
-    res.append(first_fail(lambda a, b: lat._meet[a][b] == lat._meet[b][a],
-                          "meet commutative"))
-    res.append(first_fail(lambda a, b: lat._join[a][b] == lat._join[b][a],
-                          "join commutative"))
-    res.append(first_fail(
-        lambda a, b: lat._meet[a][lat._join[a][b]] == a and lat._join[a][lat._meet[a][b]] == a,
-        "absorption"))
-    res.append(first_fail(
-        lambda a, b: lat.leq(a, b) == (lat._meet[a][b] == a) == (lat._join[a][b] == b),
-        "order agrees with meet/join"))
-
-    ok = True
-    wit = None
-    for a in lat.elements:
-        for b in lat.elements:
-            for c in lat.elements:
-                if (lat._meet[lat._meet[a][b]][c] != lat._meet[a][lat._meet[b][c]]
-                        or lat._join[lat._join[a][b]][c] != lat._join[a][lat._join[b][c]]):
-                    ok = False
-                    wit = f"a={lat.labels[a]} b={lat.labels[b]} c={lat.labels[c]}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    res.append(CheckResult("associativity", ok, wit))
-    res.append(CheckResult(
-        "bounds", lat._meet[lat.bottom][lat.top] == lat.bottom
-        and lat._join[lat.bottom][lat.top] == lat.top))
-    return PropertyReport("lattice axioms", tuple(res))
+    meet, join = lat._meet, lat._join
+    pairs = list(product(lat.elements, repeat=2))
+    ab = labelled(lat, "ab")
+    return PropertyReport("lattice axioms", (
+        law("meet commutative", lambda a, b: meet[a][b] == meet[b][a], pairs, True, ab),
+        law("join commutative", lambda a, b: join[a][b] == join[b][a], pairs, True, ab),
+        law("absorption", lambda a, b: meet[a][join[a][b]] == a and join[a][meet[a][b]] == a,
+            pairs, True, ab),
+        law("order agrees with meet/join",
+            lambda a, b: lat.leq(a, b) == (meet[a][b] == a) == (join[a][b] == b),
+            pairs, True, ab),
+        law("associativity",
+            lambda a, b, c: (meet[meet[a][b]][c] == meet[a][meet[b][c]]
+                             and join[join[a][b]][c] == join[a][join[b][c]]),
+            product(lat.elements, repeat=3), True, labelled(lat, "abc")),
+        CheckResult("bounds", meet[lat.bottom][lat.top] == lat.bottom
+                    and join[lat.bottom][lat.top] == lat.top),
+    ))
 
 
 # -- isomorphism -----------------------------------------------------

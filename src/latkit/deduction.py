@@ -14,6 +14,7 @@ arbitrary deductive system can fail transitivity.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from .connectives import implies_table, is_mn_shaped
 from .core import Lattice, format_element_set, is_complemented, is_modular
 from .errors import InvalidParameter, SizeCapExceeded
-from .report import CheckResult, PropertyReport
+from .report import SKIPPED, CheckResult, PropertyReport, law
 
 Relation = frozenset
 
@@ -400,129 +401,96 @@ def sample_equivalences(lat: Lattice, count: int = 150, seed: int = 0) -> list[R
 
 # -- quantified checks -------------------------------------------------
 
-def _fmt_ds(lat: Lattice, d: frozenset) -> str:
-    return format_element_set(lat, d)
+def _skips_over_cap(title: str):
+    """Decorator for a check that enumerates under a size cap. The check
+    returns its results, which become the report `title`; a cap exceeded
+    on the way becomes one informational "skipped" entry instead."""
+    def wrap(check):
+        @functools.wraps(check)
+        def run(lat: Lattice, *args, **kwargs) -> PropertyReport:
+            try:
+                results = check(lat, *args, **kwargs)
+            except SizeCapExceeded as exc:
+                results = (CheckResult(SKIPPED, True, str(exc), asserted=False),)
+            return PropertyReport(title, results)
+        return run
+    return wrap
 
 
-def check_filters_vs_deductive_systems(lat: Lattice, cap: int = SUBSET_CAP) -> PropertyReport:
+def _sets(lat: Lattice, *names: str):
+    """Witness for law(): the leading subsets of a tuple as "D=... E=..."."""
+    return lambda *sets: " ".join(f"{k}={format_element_set(lat, s)}"
+                                  for k, s in zip(names, sets))
+
+
+@_skips_over_cap("filters vs deductive systems")
+def check_filters_vs_deductive_systems(lat: Lattice,
+                                       cap: int = SUBSET_CAP) -> tuple[CheckResult, ...]:
     """Every deductive system is an order filter; internally implication
     closed ones are filters; on modular lattices every filter is one."""
     comp = is_complemented(lat)
     modular = comp and is_modular(lat)
-    try:
-        systems = all_deductive_systems(lat, cap).systems
-    except SizeCapExceeded as exc:
-        return PropertyReport("filters vs deductive systems", (
-            CheckResult("skipped", True, str(exc), asserted=False),))
+    systems = [(d,) for d in all_deductive_systems(lat, cap).systems]
     it = implies_table(lat)
-    res = []
-
-    ok, wit = True, None
-    for d in systems:
-        if not is_order_filter(lat, d):
-            ok, wit = False, f"D={_fmt_ds(lat, d)}"
-            break
-    res.append(CheckResult("every deductive system an order filter", ok, wit, comp))
-
-    ok, wit = True, None
-    for d in systems:
-        if all(it[x][y] <= d for x in d for y in d) and not is_filter(lat, d):
-            ok, wit = False, f"D={_fmt_ds(lat, d)}"
-            break
-    res.append(CheckResult("internally implication-closed systems are filters",
-                           ok, wit, comp))
-
-    ok, wit = True, None
-    for f in filters(lat):
-        if not is_deductive_system(lat, f):
-            ok, wit = False, f"F={_fmt_ds(lat, f)}"
-            break
-    res.append(CheckResult("every filter a deductive system", ok, wit, modular))
-    return PropertyReport("filters vs deductive systems", tuple(res))
+    return (
+        law("every deductive system an order filter",
+            lambda d: is_order_filter(lat, d), systems, comp, _sets(lat, "D")),
+        law("internally implication-closed systems are filters",
+            lambda d: not all(it[x][y] <= d for x in d for y in d) or is_filter(lat, d),
+            systems, comp, _sets(lat, "D")),
+        law("every filter a deductive system", lambda f: is_deductive_system(lat, f),
+            ((f,) for f in filters(lat)), modular, _sets(lat, "F")),
+    )
 
 
-def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> PropertyReport:
+@_skips_over_cap("deductive family")
+def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckResult, ...]:
     """Family structure: intersection closure, bounds, Theta reflexivity
     and symmetry, and the same closure for compatible systems."""
     comp = is_complemented(lat)
-    try:
-        dsl = all_deductive_systems(lat, cap)
-    except SizeCapExceeded as exc:
-        return PropertyReport("deductive family", (
-            CheckResult("skipped", True, str(exc), asserted=False),))
+    dsl = all_deductive_systems(lat, cap)
     systems = dsl.systems
-    res = []
-
-    res.append(CheckResult("bottom is {1}",
-                           systems[dsl.bottom_index] == frozenset((lat.top,)),
-                           None, comp))
-    res.append(CheckResult("top is the carrier",
-                           systems[dsl.top_index] == lat.universe, None, comp))
-
-    ok, wit = True, None
     sysset = set(systems)
-    for a in systems:
-        for b in systems:
-            if a & b not in sysset:
-                ok, wit = False, f"D={_fmt_ds(lat, a)} E={_fmt_ds(lat, b)}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("intersection closed", ok, wit, comp))
-
-    ok, wit = True, None
-    for d in systems:
-        rel = theta(lat, d)
-        if not all((x, x) in rel for x in lat.elements):
-            ok, wit = False, f"D={_fmt_ds(lat, d)} not reflexive"
-            break
-        if not all((b, a) in rel for (a, b) in rel):
-            ok, wit = False, f"D={_fmt_ds(lat, d)} not symmetric"
-            break
-    res.append(CheckResult("theta reflexive and symmetric", ok, wit, comp))
-
     compat = [d for d in systems if is_compatible_ds(lat, d)]
-    res.append(CheckResult("carrier compatible", lat.universe in compat, None, comp))
-    ok, wit = True, None
-    compatset = set(compat)
-    for a in compat:
-        for b in compat:
-            inter = a & b
-            if not is_compatible_ds(lat, inter) or inter not in sysset:
-                ok, wit = False, f"D={_fmt_ds(lat, a)} E={_fmt_ds(lat, b)}"
-                break
-        if not ok:
-            break
-    res.append(CheckResult("compatible systems intersection closed", ok, wit, comp))
-    return PropertyReport("deductive family", tuple(res))
+
+    def reflexive(rel):
+        return all((x, x) in rel for x in lat.elements)
+
+    def theta_witness(d, rel):
+        return f"D={format_element_set(lat, d)} not " + (
+            "reflexive" if not reflexive(rel) else "symmetric")
+
+    return (
+        CheckResult("bottom is {1}", systems[dsl.bottom_index] == frozenset((lat.top,)),
+                    None, comp),
+        CheckResult("top is the carrier", systems[dsl.top_index] == lat.universe,
+                    None, comp),
+        law("intersection closed", lambda a, b: a & b in sysset,
+            itertools.product(systems, repeat=2), comp, _sets(lat, "D", "E")),
+        law("theta reflexive and symmetric",
+            lambda d, rel: reflexive(rel) and all((b, a) in rel for (a, b) in rel),
+            ((d, theta(lat, d)) for d in systems), comp, theta_witness),
+        CheckResult("carrier compatible", lat.universe in compat, None, comp),
+        law("compatible systems intersection closed",
+            lambda a, b: is_compatible_ds(lat, a & b) and a & b in sysset,
+            itertools.product(compat, repeat=2), comp, _sets(lat, "D", "E")),
+    )
 
 
-def check_meet_congruence_kernels(lat: Lattice, cap: int = PARTITION_CAP) -> PropertyReport:
+@_skips_over_cap("meet congruence kernels")
+def check_meet_congruence_kernels(lat: Lattice,
+                                  cap: int = PARTITION_CAP) -> tuple[CheckResult, ...]:
     """Kernels of meet congruences are deductive systems, and theta of the
     kernel refines the congruence (complemented modular lattices)."""
     asserted = is_complemented(lat) and is_modular(lat)
-    try:
-        congruences = all_meet_congruences(lat, cap)
-    except SizeCapExceeded as exc:
-        return PropertyReport("meet congruence kernels", (
-            CheckResult("skipped", True, str(exc), asserted=False),))
-    res = []
-
-    ok, wit = True, None
-    for rel in congruences:
-        if not is_deductive_system(lat, kernel(lat, rel)):
-            ok, wit = False, f"kernel={_fmt_ds(lat, kernel(lat, rel))}"
-            break
-    res.append(CheckResult("kernel of every meet congruence a deductive system",
-                           ok, wit, asserted))
-
-    ok, wit = True, None
-    for rel in congruences:
-        if not theta(lat, kernel(lat, rel)) <= rel:
-            ok, wit = False, f"kernel={_fmt_ds(lat, kernel(lat, rel))}"
-            break
-    res.append(CheckResult("theta of kernel within the congruence", ok, wit, asserted))
-    return PropertyReport("meet congruence kernels", tuple(res))
+    kernels = [(kernel(lat, rel), rel) for rel in all_meet_congruences(lat, cap)]
+    return (
+        law("kernel of every meet congruence a deductive system",
+            lambda k, rel: is_deductive_system(lat, k), kernels, asserted,
+            _sets(lat, "kernel")),
+        law("theta of kernel within the congruence", lambda k, rel: theta(lat, k) <= rel,
+            kernels, asserted, _sets(lat, "kernel")),
+    )
 
 
 def check_substitution_equivalences(lat: Lattice, exhaustive_cap: int = 6,
@@ -537,72 +505,42 @@ def check_substitution_equivalences(lat: Lattice, exhaustive_cap: int = 6,
     else:
         source = sample_equivalences(lat, samples, seed)
         mode = f"{len(source)} sampled"
-
-    surveyed = 0
-    sp_ok, sp_wit = True, None
-    ker_ok, ker_wit = True, None
-    ref_ok, ref_wit = True, None
-    for rel in source:
-        if not has_sp_implies(lat, rel):
-            continue
-        surveyed += 1
-        if sp_ok and not has_sp_plus(lat, rel):
-            sp_ok, sp_wit = False, f"classes={len(set(rel))}"
-        k = kernel(lat, rel)
-        if ker_ok and not is_deductive_system(lat, k):
-            ker_ok, ker_wit = False, f"kernel={_fmt_ds(lat, k)}"
-        if ref_ok and not rel <= theta(lat, k):
-            ref_ok, ref_wit = False, f"kernel={_fmt_ds(lat, k)}"
+    kernels = [(kernel(lat, rel), rel) for rel in source if has_sp_implies(lat, rel)]
 
     return PropertyReport(f"substitution equivalences ({mode})", (
-        CheckResult("implication substitution gives complement substitution",
-                    sp_ok, sp_wit, asserted),
-        CheckResult("kernel a deductive system", ker_ok, ker_wit, asserted),
-        CheckResult("relation within theta of kernel", ref_ok, ref_wit, asserted),
-        CheckResult(f"surveyed {surveyed} substitution equivalences", True,
+        law("implication substitution gives complement substitution",
+            lambda k, rel: has_sp_plus(lat, rel), kernels, asserted,
+            lambda k, rel: f"classes={len(set(rel))}"),
+        law("kernel a deductive system", lambda k, rel: is_deductive_system(lat, k),
+            kernels, asserted, _sets(lat, "kernel")),
+        law("relation within theta of kernel", lambda k, rel: rel <= theta(lat, k),
+            kernels, asserted, _sets(lat, "kernel")),
+        CheckResult(f"surveyed {len(kernels)} substitution equivalences", True,
                     None, asserted=False),
     ))
 
 
-def check_compatible_kernel_recovery(lat: Lattice, cap: int = SUBSET_CAP) -> PropertyReport:
+@_skips_over_cap("compatible kernel recovery")
+def check_compatible_kernel_recovery(lat: Lattice,
+                                     cap: int = SUBSET_CAP) -> tuple[CheckResult, ...]:
     """For every compatible deductive system D: theta(D) is an equivalence
     with the implication substitution property and kernel exactly D. For
     the other systems the transitivity verdict is recorded only."""
     comp = is_complemented(lat)
-    try:
-        systems = all_deductive_systems(lat, cap).systems
-    except SizeCapExceeded as exc:
-        return PropertyReport("compatible kernel recovery", (
-            CheckResult("skipped", True, str(exc), asserted=False),))
+    compat, other = [], []
+    for d in all_deductive_systems(lat, cap).systems:
+        (compat if is_compatible_ds(lat, d) else other).append((d, theta(lat, d)))
+    other_transitive = sum(is_equivalence(lat, rel) for _, rel in other)
 
-    eq_ok, eq_wit = True, None
-    sp_ok, sp_wit = True, None
-    ker_ok, ker_wit = True, None
-    n_compat = 0
-    other_transitive = 0
-    n_other = 0
-    for d in systems:
-        rel = theta(lat, d)
-        if is_compatible_ds(lat, d):
-            n_compat += 1
-            if eq_ok and not is_equivalence(lat, rel):
-                eq_ok, eq_wit = False, f"D={_fmt_ds(lat, d)}"
-            if sp_ok and not has_sp_implies(lat, rel):
-                sp_ok, sp_wit = False, f"D={_fmt_ds(lat, d)}"
-            if ker_ok and kernel(lat, rel) != d:
-                ker_ok, ker_wit = False, f"D={_fmt_ds(lat, d)}"
-        else:
-            n_other += 1
-            if is_equivalence(lat, rel):
-                other_transitive += 1
-
-    return PropertyReport("compatible kernel recovery", (
-        CheckResult("theta of compatible systems an equivalence", eq_ok, eq_wit, comp),
-        CheckResult("theta of compatible systems has implication substitution",
-                    sp_ok, sp_wit, comp),
-        CheckResult("kernel of theta recovers the system", ker_ok, ker_wit, comp),
+    return (
+        law("theta of compatible systems an equivalence",
+            lambda d, rel: is_equivalence(lat, rel), compat, comp, _sets(lat, "D")),
+        law("theta of compatible systems has implication substitution",
+            lambda d, rel: has_sp_implies(lat, rel), compat, comp, _sets(lat, "D")),
+        law("kernel of theta recovers the system", lambda d, rel: kernel(lat, rel) == d,
+            compat, comp, _sets(lat, "D")),
         CheckResult(
-            f"{n_compat} compatible systems; theta transitive for "
-            f"{other_transitive} of {n_other} non-compatible ones",
+            f"{len(compat)} compatible systems; theta transitive for "
+            f"{other_transitive} of {len(other)} non-compatible ones",
             True, None, asserted=False),
-    ))
+    )

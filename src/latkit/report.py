@@ -2,12 +2,17 @@
 
 Checks record one CheckResult per law. Results whose hypotheses are not
 met by the lattice under test are reported with asserted=False: they are
-informative but do not count against the verdict.
+informative but do not count against the verdict. A law is checked by
+law(), which searches its domain for the first counterexample.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+
+# Name of the one entry of a check that did not run.
+SKIPPED = "skipped"
 
 
 @dataclass(frozen=True)
@@ -35,3 +40,14 @@ class PropertyReport:
             if r.name == name:
                 return r
         raise KeyError(name)
+
+
+def law(name: str, pred: Callable[..., bool], tuples: Iterable[tuple],
+        asserted: bool, witness: Callable[..., str]) -> CheckResult:
+    """The result of "pred(*t) for every t in tuples": it fails at the
+    first tuple where pred is false, with witness(*t) as its witness.
+    tuples keeps the search order; itertools.product(ids) gives 1-tuples."""
+    for t in tuples:
+        if not pred(*t):
+            return CheckResult(name, False, witness(*t), asserted)
+    return CheckResult(name, True, None, asserted)

@@ -4,13 +4,11 @@ a whole corpus.
 Each check gates its own assertions on the lattice's hypotheses
 (complemented, modular, diamond shape), so the suite runs uniformly and
 lattices outside a hypothesis contribute informational entries only.
-Corpus runs fan out across a thread pool sized by LATKIT_THREADS.
+Corpus runs check one lattice after the other: the checks are pure
+Python, so threads would only contend for the interpreter lock.
 """
 
 from __future__ import annotations
-
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 from .complementation import (check_complement_sets, check_descending_chains,
                               check_dblplus_characterization, check_galois_laws,
@@ -75,13 +73,8 @@ def suite_ok(reports: list[PropertyReport]) -> bool:
 
 
 def worker_count() -> int:
-    raw = os.environ.get("LATKIT_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return min(4, os.cpu_count() or 1)
+    """How many workers a corpus run uses: always one."""
+    return 1
 
 
 def corpus_suite(entries: list[CorpusEntry], max_subsets: int = SUBSET_CAP,
@@ -89,12 +82,6 @@ def corpus_suite(entries: list[CorpusEntry], max_subsets: int = SUBSET_CAP,
                  galois_pairs: int = GALOIS_SAMPLE_PAIRS):
     """Run the full suite on every entry; returns (name, reports) pairs
     in corpus order."""
-    def run(entry: CorpusEntry):
-        return entry.name, lattice_suite(entry.lattice, max_subsets,
-                                         max_partitions, seed, galois_pairs)
-
-    workers = worker_count()
-    if workers == 1 or len(entries) <= 1:
-        return [run(e) for e in entries]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run, entries))
+    return [(e.name, lattice_suite(e.lattice, max_subsets, max_partitions, seed,
+                                   galois_pairs))
+            for e in entries]

@@ -1,0 +1,58 @@
+"""Pinned reports: the digest of `verify --format json` on the default
+corpus, and the witnesses that law checks give on corrupted tables."""
+
+import hashlib
+
+from latkit.cli import main
+from latkit.connectives import (check_conjunction_laws, check_implication_laws,
+                                check_modus_laws, implies_table, odot_table)
+from latkit.core import Lattice
+from latkit.corpus import make_fig2, make_N5
+from latkit.deduction import (check_filters_vs_deductive_systems,
+                              check_substitution_equivalences)
+
+VERIFY_JSON_SHA256 = "b5ed3e793bb9f4ae481f619b18f19ff2b30567f85ac1383f16bbb2f086226a23"
+
+
+def test_verify_json_digest(capsys):
+    code = main(["verify", "--format", "json", "--seed", "0"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256
+
+
+def with_corrupted_tables(lat):
+    """A fresh copy of lat whose memo holds an implication table with
+    1->a = {1} and a conjunction table with a(.)a = {0}, a the element 1."""
+    it = [list(row) for row in implies_table(lat)]
+    ot = [list(row) for row in odot_table(lat)]
+    it[lat.top][1] = frozenset((lat.top,))
+    ot[1][1] = frozenset((lat.bottom,))
+    out = Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements], name=lat.name)
+    out.memo("implies_table", lambda: tuple(tuple(r) for r in it))
+    out.memo("odot_table", lambda: tuple(tuple(r) for r in ot))
+    return out
+
+
+def test_connective_witnesses_on_corrupted_tables():
+    n5 = with_corrupted_tables(make_N5())
+    rep = check_modus_laws(n5)
+    assert rep.find("modus ponens: a ^ (a->b) = {a^b}").witness == "a=c b=a got=c"
+    rep = check_conjunction_laws(n5)
+    bad = rep.find("a^b below a(.)b below b; b below a collapses to {b}")
+    assert not rep.ok and bad.witness == "a=a b=a got=0"
+    fig2 = with_corrupted_tables(make_fig2())
+    rep = check_implication_laws(fig2)
+    bad = rep.find("b below c makes a->b below a->c (both set orders)")
+    assert not rep.ok and not bad.passed and bad.witness == "a=1 b=a c=f"
+
+
+def test_deduction_witnesses_on_corrupted_tables():
+    n5 = with_corrupted_tables(make_N5())
+    rep = check_substitution_equivalences(n5)
+    bad = rep.find("kernel a deductive system")
+    assert not rep.ok and bad.witness == "kernel=1"
+    fig2 = with_corrupted_tables(make_fig2())
+    rep = check_filters_vs_deductive_systems(fig2)
+    bad = rep.find("every filter a deductive system")
+    assert not rep.ok and bad.witness == "F=1"
