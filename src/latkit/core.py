@@ -3,8 +3,9 @@
 Elements are dense integer ids 0..n-1; labels are presentation only. The
 order is stored as one bitmask row per element and meet/join as full n x n
 tables, so every query after construction is a table lookup. Construction
-validates the poset axioms, locates the bounds and computes the tables;
-violations raise the matching subclass of LatticeError.
+validates the poset axioms, locates the bounds and computes the tables
+in O(n^2) from a linear extension of the order; violations raise the
+matching subclass of LatticeError.
 """
 
 from __future__ import annotations
@@ -32,6 +33,20 @@ def _bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _upper_covers(up) -> list[int]:
+    """Upper-cover mask of each element of an order given by its up-set
+    masks: j covers i when j is strictly above i and strictly above no
+    other element strictly above i."""
+    covers = []
+    for i, m in enumerate(up):
+        strict = m ^ (1 << i)
+        above = 0
+        for j in _bits(strict):
+            above |= up[j] ^ (1 << j)
+        covers.append(strict & ~above)
+    return covers
 
 
 class Lattice:
@@ -64,6 +79,7 @@ class Lattice:
                 raise InvalidParameter("order row references unknown element")
             if not up[i] >> i & 1:
                 raise InvalidParameter("order is not reflexive")
+        down = [0] * n
         for i in range(n):
             m = up[i]
             for j in _bits(m):
@@ -71,10 +87,6 @@ class Lattice:
                     raise InvalidParameter("order is not antisymmetric")
                 if up[j] & ~m:
                     raise InvalidParameter("order is not transitive")
-
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
                 down[j] |= 1 << i
         down = tuple(down)
 
@@ -86,39 +98,43 @@ class Lattice:
         if bottom == top:
             raise TrivialLattice("bottom equals top")
 
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
+        # Ids sorted by down-set size form a linear extension of the order.
+        # Renumbered in that order, the meet of a and b can only be the
+        # highest common lower bound and the join the lowest common upper
+        # bound; one mask test confirms each. Pairs run in (a, b) order
+        # with meet before join, so the first failing pair is reported.
+        order = sorted(range(n), key=lambda i: down[i].bit_count())
+        pos = [0] * n
+        for p, i in enumerate(order):
+            pos[i] = p
+        pdown = [0] * n
+        pup = [0] * n
+        for i in range(n):
+            for j in _bits(up[i]):
+                pup[i] |= 1 << pos[j]
+                pdown[j] |= 1 << pos[i]
+        # Row a starts as all a, which leaves meet(a, a) = join(a, a) = a.
+        meet = [[i] * n for i in range(n)]
+        join = [[i] * n for i in range(n)]
         for a in range(n):
-            for b in range(n):
-                common = down[a] & down[b]
-                g = -1
-                for c in _bits(common):
-                    if down[c] & common == common:
-                        g = c
-                        break
-                if g < 0:
+            da, ua = pdown[a], pup[a]
+            for b in range(a + 1, n):
+                common = da & pdown[b]
+                g = order[common.bit_length() - 1]
+                if pdown[g] & common != common:
                     raise NotALattice(
                         f"elements {labels[a]!r}, {labels[b]!r} have no meet",
                         pair=(a, b))
-                meet[a][b] = g
-                common = up[a] & up[b]
-                g = -1
-                for c in _bits(common):
-                    if up[c] & common == common:
-                        g = c
-                        break
-                if g < 0:
+                meet[a][b] = meet[b][a] = g
+                common = ua & pup[b]
+                g = order[(common & -common).bit_length() - 1]
+                if pup[g] & common != common:
                     raise NotALattice(
                         f"elements {labels[a]!r}, {labels[b]!r} have no join",
                         pair=(a, b))
-                join[a][b] = g
+                join[a][b] = join[b][a] = g
 
-        covers = []
-        for i in range(n):
-            for j in _bits(up[i] ^ (1 << i)):
-                between = up[i] & down[j] & ~(1 << i) & ~(1 << j)
-                if not between:
-                    covers.append((i, j))
+        cov_up = _upper_covers(up)
 
         self.n = n
         self.labels = labels
@@ -129,7 +145,7 @@ class Lattice:
         self._down = down
         self._meet = tuple(tuple(r) for r in meet)
         self._join = tuple(tuple(r) for r in join)
-        self._covers = tuple(sorted(covers))
+        self._covers = tuple((i, j) for i in range(n) for j in _bits(cov_up[i]))
         self._memo = {}
 
     # -- construction ------------------------------------------------
@@ -438,17 +454,19 @@ def check_lattice_axioms(lat: Lattice) -> PropertyReport:
 
 # -- isomorphism -----------------------------------------------------
 
-def _wl_colors(lat: Lattice) -> list[int]:
-    """Order-invariant element colouring: degree/height start, refined by
-    cover-neighbour colour multisets until stable."""
-    n = lat.n
-    cov_up = [[] for _ in range(n)]
+def _wl_colors(up, down) -> list[int]:
+    """Order-invariant element colouring of the order given by up- and
+    down-set masks: degree/height start, refined by cover-neighbour
+    colour multisets until stable."""
+    n = len(up)
+    cov_up = [list(_bits(m)) for m in _upper_covers(up)]
     cov_dn = [[] for _ in range(n)]
-    for lo, hi in lat.covers():
-        cov_up[lo].append(hi)
-        cov_dn[hi].append(lo)
+    for i in range(n):
+        for j in cov_up[i]:
+            cov_dn[j].append(i)
 
-    topo = sorted(lat.elements, key=lambda i: bin(lat._down[i]).count("1"))
+    downsize = [m.bit_count() for m in down]
+    topo = sorted(range(n), key=downsize.__getitem__)
     height = [0] * n
     for i in topo:
         height[i] = max((height[j] + 1 for j in cov_dn[i]), default=0)
@@ -456,8 +474,8 @@ def _wl_colors(lat: Lattice) -> list[int]:
     for i in reversed(topo):
         depth[i] = max((depth[j] + 1 for j in cov_up[i]), default=0)
 
-    keys = [(bin(lat._down[i]).count("1"), bin(lat._up[i]).count("1"),
-             len(cov_dn[i]), len(cov_up[i]), height[i], depth[i])
+    keys = [(downsize[i], up[i].bit_count(), len(cov_dn[i]), len(cov_up[i]),
+             height[i], depth[i])
             for i in range(n)]
     ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
     color = [ranks[k] for k in keys]
@@ -473,49 +491,52 @@ def _wl_colors(lat: Lattice) -> list[int]:
         color = new
 
 
+def canonical_form(up, down):
+    """Canonical form of the order given by up- and down-set masks (each
+    element in its own up- and down-set): the minimal order-matrix bit
+    string over all permutations compatible with the colour classes.
+    Equal forms mean isomorphic orders."""
+    n = len(up)
+    color = _wl_colors(up, down)
+    posrank = sorted(color)
+    byrank: dict[int, list[int]] = {}
+    for i, c in enumerate(color):
+        byrank.setdefault(c, []).append(i)
+
+    best: list[int] | None = None
+    cur: list[int] = []
+    placed: list[int] = []
+    used = [False] * n
+
+    def dfs(p: int):
+        nonlocal best
+        if p == n:
+            if best is None or cur < best:
+                best = list(cur)
+            return
+        for e in byrank[posrank[p]]:
+            if used[e]:
+                continue
+            tok = 0
+            for q in placed:
+                tok = tok << 1 | (up[q] >> e & 1)
+                tok = tok << 1 | (up[e] >> q & 1)
+            cur.append(tok)
+            if best is None or cur <= best[:p + 1]:
+                used[e] = True
+                placed.append(e)
+                dfs(p + 1)
+                placed.pop()
+                used[e] = False
+            cur.pop()
+
+    dfs(0)
+    return (n, tuple(posrank), tuple(best))
+
+
 def canonical_key(lat: Lattice):
-    """Canonical form: the minimal order-matrix bit string over all
-    permutations compatible with the colour classes. Equal keys mean
-    isomorphic lattices."""
-    def compute():
-        n = lat.n
-        color = _wl_colors(lat)
-        posrank = sorted(color)
-        byrank: dict[int, list[int]] = {}
-        for i, c in enumerate(color):
-            byrank.setdefault(c, []).append(i)
-
-        best: list[int] | None = None
-        cur: list[int] = []
-        placed: list[int] = []
-        used = [False] * n
-        up = lat._up
-
-        def dfs(p: int):
-            nonlocal best
-            if p == n:
-                if best is None or cur < best:
-                    best = list(cur)
-                return
-            for e in byrank[posrank[p]]:
-                if used[e]:
-                    continue
-                tok = 0
-                for q in placed:
-                    tok = tok << 1 | (up[q] >> e & 1)
-                    tok = tok << 1 | (up[e] >> q & 1)
-                cur.append(tok)
-                if best is None or cur <= best[:p + 1]:
-                    used[e] = True
-                    placed.append(e)
-                    dfs(p + 1)
-                    placed.pop()
-                    used[e] = False
-                cur.pop()
-
-        dfs(0)
-        return (n, tuple(posrank), tuple(best))
-    return lat.memo("canonical_key", compute)
+    """canonical_form of the lattice's order, memoised on the lattice."""
+    return lat.memo("canonical_key", lambda: canonical_form(lat._up, lat._down))
 
 
 def is_isomorphic(a: Lattice, b: Lattice) -> bool:

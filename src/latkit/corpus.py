@@ -4,8 +4,11 @@ The enumerator produces every bounded lattice on n elements up to
 isomorphism. It walks naturally labeled posets (element ids respect the
 order) by choosing each element's strict down-set, pruning branches
 where some pair has no meet; a finite poset with a top in which all
-binary meets exist is a lattice. Duplicate isomorphs are removed through
-the canonical form.
+binary meets exist is a lattice. Each complete candidate's canonical form
+is computed straight from its down- and up-set masks, so a duplicate
+isomorph is rejected before any Lattice is built: only the first member
+of each isomorphism class becomes a Lattice, with that form stored as its
+canonical key.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complementation import satisfies_dblplus_identity
-from .core import (ELEMENT_CAP, Lattice, canonical_key, is_complemented,
+from .core import (ELEMENT_CAP, Lattice, _bits, canonical_form, is_complemented,
                    is_distributive, is_isomorphic, is_modular)
 from .errors import InvalidParameter, SizeCapExceeded
 
@@ -133,16 +136,6 @@ def direct_product(l1: Lattice, l2: Lattice) -> Lattice:
 
 # -- enumeration -------------------------------------------------------
 
-def _lattice_from_downs(downs: list[int], n: int) -> Lattice:
-    ups = [1 << i for i in range(n)]
-    for j in range(n):
-        for i in range(n):
-            if downs[j] >> i & 1:
-                ups[i] |= 1 << j
-    labels = [f"x{i}" for i in range(n)]
-    return Lattice(labels, ups)
-
-
 def enumerate_lattices(n: int, filters: frozenset = frozenset(),
                        cap: int = ENUM_CAP) -> list[Lattice]:
     """All bounded lattices on n elements up to isomorphism, optionally
@@ -159,6 +152,7 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
 
     downs = [0] * n
     full = (1 << n) - 1
+    labels = [f"x{i}" for i in range(n)]
     out: list[Lattice] = []
     seen: set = set()
 
@@ -178,10 +172,16 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
 
     def place(k: int):
         if k == n:
-            lat = _lattice_from_downs(downs, n)
-            key = canonical_key(lat)
+            down = [m | 1 << i for i, m in enumerate(downs)]
+            up = [1 << i for i in range(n)]
+            for j in range(1, n):
+                for i in _bits(downs[j]):
+                    up[i] |= 1 << j
+            key = canonical_form(up, down)
             if key not in seen:
                 seen.add(key)
+                lat = Lattice(labels, up)
+                lat.memo("canonical_key", lambda: key)
                 out.append(lat)
             return
         if k == n - 1:

@@ -213,3 +213,54 @@ def relabel(lat: Lattice, perm: list[int]) -> Lattice:
                 m |= 1 << perm[j]
         ups[perm[i]] = m
     return Lattice(labels, ups, name=lat.name)
+
+
+# -- meet/join tables and bounded posets --------------------------------
+
+def brute_meet(lat: Lattice, a: int, b: int) -> int:
+    """The common lower bound of a and b above every other one."""
+    lower = [c for c in lat.elements if lat.leq(c, a) and lat.leq(c, b)]
+    return next(c for c in lower if all(lat.leq(d, c) for d in lower))
+
+
+def brute_join(lat: Lattice, a: int, b: int) -> int:
+    upper = [c for c in lat.elements if lat.leq(a, c) and lat.leq(b, c)]
+    return next(c for c in upper if all(lat.leq(c, d) for d in upper))
+
+
+def brute_covers(lat: Lattice) -> tuple[tuple[int, int], ...]:
+    """(lower, upper) pairs with nothing strictly between, sorted."""
+    return tuple((i, j) for i in lat.elements for j in lat.elements
+                 if lat.lt(i, j)
+                 and not any(lat.lt(i, k) and lat.lt(k, j) for k in lat.elements))
+
+
+def bounded_posets(n: int):
+    """Up-set masks of every bounded order on 0..n-1 in which ids respect
+    the order (0 the bottom, n-1 the top), lattices or not."""
+    inner = [(i, j) for i in range(1, n - 1) for j in range(i + 1, n - 1)]
+    for bits in range(1 << len(inner)):
+        up = [(1 << n) - 1] + [1 << i | 1 << (n - 1) for i in range(1, n - 1)] \
+            + [1 << (n - 1)]
+        for k, (i, j) in enumerate(inner):
+            if bits >> k & 1:
+                up[i] |= 1 << j
+        if all(up[j] & ~up[i] == 0 for i in range(n) for j in range(n)
+               if up[i] >> j & 1):
+            yield up
+
+
+def first_missing_bound(labels, up) -> tuple[tuple[int, int], str] | None:
+    """The first pair (a, b) in row order without a meet or a join,
+    the meet tested first, with the error message Lattice gives for it."""
+    n = len(up)
+    leq = lambda x, y: bool(up[x] >> y & 1)
+    for a in range(n):
+        for b in range(n):
+            for what, bounds, below in (
+                    ("meet", [c for c in range(n) if leq(c, a) and leq(c, b)], leq),
+                    ("join", [c for c in range(n) if leq(a, c) and leq(b, c)],
+                     lambda x, y: leq(y, x))):
+                if not any(all(below(d, c) for d in bounds) for c in bounds):
+                    return (a, b), f"elements {labels[a]!r}, {labels[b]!r} have no {what}"
+    return None

@@ -1,0 +1,121 @@
+"""Meet/join tables from the linear extension, the enumerator's canonical
+keys, id checks of the deduction predicates, and the class count in the
+substitution-equivalence witness."""
+
+import random
+
+import pytest
+
+from latkit.complementation import complement_sets
+from latkit.connectives import implies_table
+from latkit.core import Lattice, canonical_key, is_complemented
+from latkit.corpus import enumerate_lattices, make_N5
+from latkit.deduction import (check_substitution_equivalences, is_deductive_system,
+                              is_filter, is_order_filter)
+from latkit.errors import InvalidParameter, NotALattice
+
+from .oracles import (bounded_posets, brute_covers, brute_join, brute_meet,
+                      first_missing_bound, relabel)
+
+
+def shuffled(lat: Lattice, rng: random.Random) -> Lattice:
+    perm = list(lat.elements)
+    rng.shuffle(perm)
+    return relabel(lat, perm)
+
+
+def test_tables_match_brute_force_scans():
+    rng = random.Random(7)
+    count = 0
+    for n in range(2, 8):
+        for lat in enumerate_lattices(n):
+            for image in (lat, shuffled(lat, rng), shuffled(lat, rng)):
+                for a in image.elements:
+                    for b in image.elements:
+                        assert image.meet(a, b) == brute_meet(image, a, b)
+                        assert image.join(a, b) == brute_join(image, a, b)
+                assert image.covers() == brute_covers(image)
+                count += 1
+    assert count == 3 * 77
+
+
+def test_non_lattices_report_first_pair_meet_before_join():
+    rng = random.Random(11)
+    seen = 0
+    for n in range(4, 8):
+        labels = [f"e{i}" for i in range(n)]
+        for up in bounded_posets(n):
+            images = [up]
+            for _ in range(3):
+                perm = list(range(n))
+                rng.shuffle(perm)
+                moved = [0] * n
+                for i in range(n):
+                    moved[perm[i]] = sum(1 << perm[j] for j in range(n) if up[i] >> j & 1)
+                images.append(moved)
+            for rows in images:
+                want = first_missing_bound(labels, rows)
+                if want is None:
+                    Lattice(labels, rows)
+                    continue
+                with pytest.raises(NotALattice) as err:
+                    Lattice(labels, rows)
+                assert (err.value.pair, str(err.value)) == want
+                seen += 1
+    assert seen == 4 * 38
+
+
+def test_non_lattice_pairs_pinned():
+    labels = ["0", "a", "b", "c", "d", "1"]
+    covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
+              ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]
+    with pytest.raises(NotALattice) as err:
+        Lattice.from_covers(labels, covers)
+    assert err.value.pair == (1, 2)
+    assert str(err.value) == "elements 'a', 'b' have no join"
+    # The same order listed top first: c and d now come first and have no meet.
+    with pytest.raises(NotALattice) as err:
+        Lattice.from_covers(labels[::-1], covers)
+    assert err.value.pair == (1, 2)
+    assert str(err.value) == "elements 'd', 'c' have no meet"
+
+
+def test_enumerator_key_equals_fresh_key():
+    for n in range(2, 9):
+        for lat in enumerate_lattices(n, cap=8):
+            stored = lat.memo("canonical_key", lambda: pytest.fail("key not stored"))
+            fresh = Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements])
+            assert stored == canonical_key(fresh)
+
+
+def test_enumerate_eight_elements():
+    lats = enumerate_lattices(8, cap=8)
+    keys = {canonical_key(Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements]))
+            for lat in lats}
+    assert len(lats) == 222 and len(keys) == 222
+    assert sum(is_complemented(lat) for lat in lats) == 71
+
+
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_deduction_predicates_reject_foreign_ids(bad):
+    n5 = make_N5()
+    for pred in (is_deductive_system, is_order_filter, is_filter):
+        with pytest.raises(InvalidParameter):
+            pred(n5, frozenset((n5.top, bad)))
+    with pytest.raises(InvalidParameter):
+        is_deductive_system(n5, {4, 99})
+
+
+def test_substitution_witness_counts_classes():
+    """With 2 added to the complements of 0, the first implication-
+    substitution equivalence without complement substitution has two
+    classes and 13 ordered pairs; the witness gives the classes."""
+    n5 = make_N5()
+    comp = list(complement_sets(n5))
+    comp[0] = comp[0] | {2}
+    lat = Lattice(n5.labels, [n5.up_mask(i) for i in n5.elements], name=n5.name)
+    lat.memo("implies_table", lambda: implies_table(n5))
+    lat.memo("complement_sets", lambda: tuple(comp))
+    rep = check_substitution_equivalences(lat)
+    bad = rep.find("implication substitution gives complement substitution")
+    assert not rep.ok and not bad.passed and bad.witness == "classes=2"
