@@ -6,6 +6,13 @@ polarity of the relation "x complements y", so A -> plus(A) is an antitone
 Galois connection: A is contained in double_plus(A), plus is inclusion
 reversing, and plus(double_plus(A)) == plus(A). Sets fixed by double_plus
 are called closed; they form a complete ortholattice under inclusion.
+
+Inside the package a subset is an int mask (bit x for element x):
+plus_mask is the operator, and complement_masks, dblplus_masks and
+closed_masks are the memoised tables the checks read. complement_masks
+is derived from the memoised complement_sets, so a table placed in that
+memo reaches every check. The public functions take and return
+frozensets of ids.
 """
 
 from __future__ import annotations
@@ -16,30 +23,48 @@ from itertools import product
 
 from .core import (
     Lattice,
+    antichain_mask,
     check_ids,
+    convex_mask,
     find_n5_through_bounds,
     format_element_set,
-    is_antichain,
     is_complemented,
-    is_convex,
     is_modular,
     labelled,
+    members,
+    subset_key,
+    to_mask,
+    to_set,
 )
-from .errors import InvalidParameter
 from .report import CheckResult, PropertyReport, law
-from .setops import set_join, set_le1, set_meet
+from .setops import intersect_rows, mask_join, mask_le1, mask_meet
 
 
 def complement_sets(lat: Lattice) -> tuple[frozenset, ...]:
     """Per-element complement sets, memoised on the lattice."""
     def compute():
-        out = []
-        for a in lat.elements:
-            out.append(frozenset(
-                x for x in lat.elements
-                if lat.join(a, x) == lat.top and lat.meet(a, x) == lat.bottom))
-        return tuple(out)
+        join, meet, top, bottom = lat._join, lat._meet, lat.top, lat.bottom
+        return tuple(frozenset(x for x in lat.elements
+                               if join[a][x] == top and meet[a][x] == bottom)
+                     for a in lat.elements)
     return lat.memo("complement_sets", compute)
+
+
+def complement_masks(lat: Lattice) -> tuple[int, ...]:
+    """complement_sets as masks, memoised from the memoised sets."""
+    return lat.memo("complement_masks", lambda: tuple(
+        sum(1 << x for x in s) for s in complement_sets(lat)))
+
+
+def plus_mask(lat: Lattice, m: int) -> int:
+    """plus on masks: the common complements of the members of m."""
+    return intersect_rows(complement_masks(lat), m, (1 << lat.n) - 1)
+
+
+def dblplus_masks(lat: Lattice) -> tuple[int, ...]:
+    """double_plus({a}) of every element as a mask, memoised."""
+    return lat.memo("dblplus_masks",
+                    lambda: tuple(plus_mask(lat, c) for c in complement_masks(lat)))
 
 
 def complements(lat: Lattice, a: int) -> frozenset:
@@ -51,82 +76,71 @@ def complements(lat: Lattice, a: int) -> frozenset:
 def plus(lat: Lattice, a: frozenset) -> frozenset:
     """Common complements of all members; the whole carrier for empty input.
     Raises InvalidParameter for an id outside 0..n-1."""
-    if not a:
-        return lat.universe
-    ids = sorted(a)
-    if ids[0] < 0 or ids[-1] >= lat.n:
-        raise InvalidParameter(f"ids {ids} are not all in 0..{lat.n - 1}")
-    cs = complement_sets(lat)
-    items = iter(ids)
-    acc = cs[next(items)]
-    for x in items:
-        if not acc:
-            break
-        acc = acc & cs[x]
-    return acc
+    return to_set(plus_mask(lat, to_mask(lat, a)))
 
 
 def double_plus(lat: Lattice, a: frozenset) -> frozenset:
-    return plus(lat, plus(lat, a))
+    return to_set(plus_mask(lat, plus_mask(lat, to_mask(lat, a))))
 
 
 def is_closed(lat: Lattice, a: frozenset) -> bool:
-    return double_plus(lat, a) == a
+    m = to_mask(lat, a)
+    return plus_mask(lat, plus_mask(lat, m)) == m
 
 
 def satisfies_dblplus_identity(lat: Lattice) -> bool:
     """True when double_plus({x}) == {x} for every element."""
-    def compute():
-        return all(double_plus(lat, frozenset((x,))) == frozenset((x,))
-                   for x in lat.elements)
-    return lat.memo("dblplus_identity", compute)
+    return lat.memo("dblplus_identity", lambda: all(
+        m == 1 << x for x, m in enumerate(dblplus_masks(lat))))
 
 
 def dblplus_injective(lat: Lattice) -> bool:
     """True when x -> double_plus({x}) is injective."""
-    def compute():
-        seen = {}
-        for x in lat.elements:
-            key = double_plus(lat, frozenset((x,)))
-            if key in seen:
-                return False
-            seen[key] = x
-        return True
-    return lat.memo("dblplus_injective", compute)
+    return lat.memo("dblplus_injective",
+                    lambda: len(set(dblplus_masks(lat))) == lat.n)
 
 
 def find_closed_element_in_dblplus(lat: Lattice, a: int) -> int | None:
     """Some b in double_plus({a}) with double_plus({b}) == {b}, found by
-    walking descending double_plus sets; None when no such b exists."""
+    walking descending double_plus sets; None when no such b exists.
+    Raises InvalidParameter for an id outside 0..n-1."""
+    check_ids(lat, a)
+    dps = dblplus_masks(lat)
     cur = a
     seen = set()
     while cur not in seen:
         seen.add(cur)
-        dp = double_plus(lat, frozenset((cur,)))
-        if dp == frozenset((cur,)):
+        if dps[cur] == 1 << cur:
             return cur
-        rest = sorted(dp - {cur})
+        rest = dps[cur] & ~(1 << cur)
         if not rest:
             return None
-        cur = rest[0]
-    for b in sorted(double_plus(lat, frozenset((a,)))):
-        if double_plus(lat, frozenset((b,))) == frozenset((b,)):
+        cur = (rest & -rest).bit_length() - 1
+    for b in members(dps[a]):
+        if dps[b] == 1 << b:
             return b
     return None
 
 
 # -- closed sets and the closure lattice -------------------------------
 
-def closed_sets(lat: Lattice) -> tuple[frozenset, ...]:
-    """All closed subsets, via intersection closure of the per-element
-    complement sets seeded with the full carrier (which is plus(empty))."""
+def closed_masks(lat: Lattice) -> tuple[int, ...]:
+    """All closed subsets as masks in (size, ids) order, via intersection
+    closure of the per-element complement masks seeded with the full
+    carrier (which is plus(empty)); memoised."""
     def compute():
-        fam = {lat.universe}
-        for g in complement_sets(lat):
+        full = (1 << lat.n) - 1
+        fam = {full}
+        for g in complement_masks(lat):
             fam |= {g & s for s in fam}
             fam.add(g)
-        return tuple(sorted(fam, key=lambda s: (len(s), sorted(s))))
-    return lat.memo("closed_sets", compute)
+        return tuple(sorted(fam, key=subset_key))
+    return lat.memo("closed_masks", compute)
+
+
+def closed_sets(lat: Lattice) -> tuple[frozenset, ...]:
+    """closed_masks as frozensets, memoised."""
+    return lat.memo("closed_sets", lambda: tuple(to_set(m) for m in closed_masks(lat)))
 
 
 @dataclass(frozen=True)
@@ -140,63 +154,101 @@ class ClosureReport:
     violations: tuple[str, ...]
 
 
+def _positions_above_below(masks: tuple[int, ...], n: int):
+    """For each family member p, the bitsets over family positions of the
+    members containing it and of the members it contains, built from the
+    bitset of positions holding each element: O(k n) for k members."""
+    holds = [0] * n
+    for p, m in enumerate(masks):
+        for x in members(m):
+            holds[x] |= 1 << p
+    every = (1 << len(masks)) - 1
+    above, below = [], []
+    for m in masks:
+        up, out = every, 0
+        for x in range(n):
+            if m >> x & 1:
+                up &= holds[x]
+            else:
+                out |= holds[x]
+        above.append(up)
+        below.append(every & ~out)
+    return above, below
+
+
 def closure_lattice(lat: Lattice) -> ClosureReport:
-    cs = closed_sets(lat)
-    index = {s: i for i, s in enumerate(cs)}
-    k = len(cs)
-    fmt = lambda s: format_element_set(lat, s)
+    masks = closed_masks(lat)
+    index = {s: i for i, s in enumerate(masks)}
+    k = len(masks)
+    cm, full = complement_masks(lat), (1 << lat.n) - 1
+    plus_of: dict[int, int] = {}
+
+    def pl(m: int) -> int:
+        try:
+            return plus_of[m]
+        except KeyError:
+            p = plus_of[m] = intersect_rows(cm, m, full)
+            return p
+
+    fmt = lambda m: format_element_set(lat, members(m))
+    pls = [pl(s) for s in masks]
 
     violations: list[str] = []
-    for s in cs:
-        if double_plus(lat, s) != s:
+    for s, p in zip(masks, pls):
+        if pl(p) != s:
             violations.append(f"family member not closed: {fmt(s)}")
 
     ortho = []
-    for s in cs:
-        p = plus(lat, s)
+    for s, p in zip(masks, pls):
         if p not in index:
             violations.append(f"orthocomplement escapes the family: {fmt(s)}")
             ortho.append(-1)
         else:
             ortho.append(index[p])
 
+    # plus(s | t) is plus(s) & plus(t), so the closure of the union is
+    # the plus of that intersection.
     meet = [[0] * k for _ in range(k)]
     join = [[0] * k for _ in range(k)]
-    for i, s in enumerate(cs):
-        for j, t in enumerate(cs):
-            m = s & t
-            if m not in index:
+    for i, s in enumerate(masks):
+        ps = pls[i]
+        for j, t in enumerate(masks):
+            m = index.get(s & t)
+            if m is None:
                 violations.append(f"intersection escapes the family: {fmt(s)}, {fmt(t)}")
                 meet[i][j] = -1
             else:
-                meet[i][j] = index[m]
-            u = double_plus(lat, s | t)
+                meet[i][j] = m
+            u = pl(ps & pls[j])
             if u not in index:
                 violations.append(f"closure of union escapes the family: {fmt(s)}, {fmt(t)}")
                 join[i][j] = -1
             else:
                 join[i][j] = index[u]
-                if not (s <= u and t <= u):
+                if (s | t) & ~u:
                     violations.append(f"join not an upper bound: {fmt(s)}, {fmt(t)}")
 
     # Join must be the least closed upper bound, meet the greatest lower.
-    for i, s in enumerate(cs):
-        for j, t in enumerate(cs):
-            u = cs[join[i][j]]
-            m = cs[meet[i][j]]
-            for w in cs:
-                if s <= w and t <= w and not u <= w:
-                    violations.append(f"join not least: {fmt(s)}, {fmt(t)}")
-                    break
-                if w <= s and w <= t and not w <= m:
-                    violations.append(f"meet not greatest: {fmt(s)}, {fmt(t)}")
-                    break
+    # The witness is the first position w that contains s and t but not
+    # their join, or lies in both but not in their meet; at one position
+    # the join is reported first. A table entry of -1 stands for the last
+    # member.
+    above, below = _positions_above_below(masks, lat.n)
+    for i, s in enumerate(masks):
+        for j, t in enumerate(masks):
+            bad_join = above[i] & above[j] & ~above[join[i][j]]
+            bad_meet = below[i] & below[j] & ~below[meet[i][j]]
+            first = (bad_join | bad_meet) & -(bad_join | bad_meet)
+            if first & bad_join:
+                violations.append(f"join not least: {fmt(s)}, {fmt(t)}")
+            elif first:
+                violations.append(f"meet not greatest: {fmt(s)}, {fmt(t)}")
 
-    full = index.get(lat.universe)
-    empty = index.get(frozenset())
-    if full is None or empty is None:
+    top = index.get(full)
+    empty = index.get(0)
+    if top is None or empty is None:
         violations.append("family lacks empty set or full carrier")
-    for i, s in enumerate(cs):
+    for i, s in enumerate(masks):
         o = ortho[i]
         if o < 0:
             continue
@@ -204,28 +256,18 @@ def closure_lattice(lat: Lattice) -> ClosureReport:
             violations.append(f"orthocomplement not involutive: {fmt(s)}")
         if meet[i][o] != empty:
             violations.append(f"set meets its orthocomplement: {fmt(s)}")
-        if join[i][o] != full:
+        if join[i][o] != top:
             violations.append(f"set does not join to full with orthocomplement: {fmt(s)}")
-        for j, t in enumerate(cs):
-            if s <= t and not cs[ortho[j]] <= cs[o]:
+        for j, t in enumerate(masks):
+            if not s & ~t and masks[ortho[j]] & ~masks[o]:
                 violations.append(f"orthocomplement not antitone: {fmt(s)}, {fmt(t)}")
 
-    return ClosureReport(cs, tuple(tuple(r) for r in meet),
+    return ClosureReport(closed_sets(lat), tuple(tuple(r) for r in meet),
                          tuple(tuple(r) for r in join),
                          tuple(ortho), tuple(violations))
 
 
 # -- quantified checks -------------------------------------------------
-
-def _ids(mask: int) -> list[int]:
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _subset_order(mask: int):
-    """Sort key of a subset mask: size, then the sorted member ids."""
-    ids = _ids(mask)
-    return len(ids), ids
-
 
 def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
                       sample_pairs: int = 10000, seed: int = 0) -> PropertyReport:
@@ -240,26 +282,21 @@ def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
         pairs = product(singles, repeat=2)
         mode = "exhaustive"
     else:
-        rng = random.Random(seed)
-        pairs = [(rng.randint(0, full), rng.randint(0, full))
-                 for _ in range(sample_pairs)]
+        # randrange(full + 1) draws the same stream as randint(0, full).
+        draw = random.Random(seed).randrange
+        pairs = [(draw(full + 1), draw(full + 1)) for _ in range(sample_pairs)]
         singles = {m for pair in pairs for m in pair}
         mode = f"{sample_pairs} sampled pairs"
 
-    cmask = [sum(1 << x for x in s) for s in complement_sets(lat)]
+    cmask = complement_masks(lat)
     pmap: dict[int, int] = {}
 
     def pl(m: int) -> int:
         try:
             return pmap[m]
         except KeyError:
-            acc, rest = full, m
-            while rest and acc:
-                low = rest & -rest
-                acc &= cmask[low.bit_length() - 1]
-                rest ^= low
-            pmap[m] = acc
-            return acc
+            p = pmap[m] = intersect_rows(cmask, m, full)
+            return p
 
     ext_bad, triple_bad, disj_bad = [], [], []
     for a in singles:
@@ -272,10 +309,10 @@ def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
         if p & dp:
             disj_bad.append(a)
 
-    fmt = lambda m: format_element_set(lat, frozenset(_ids(m)))
+    fmt = lambda m: format_element_set(lat, members(m))
 
     def first(bad: list[int]) -> str | None:
-        return f"A={fmt(min(bad, key=_subset_order))}" if bad else None
+        return f"A={fmt(min(bad, key=subset_key))}" if bad else None
 
     anti_wit = adj_wit = None
     for a, b in pairs:
@@ -299,13 +336,13 @@ def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
 def check_complement_sets(lat: Lattice) -> PropertyReport:
     """Order-theoretic facts about the per-element complement sets."""
     asserted = is_complemented(lat)
-    cs = complement_sets(lat)
+    cm, dps = complement_masks(lat), dblplus_masks(lat)
     els = lat.elements
-    dps = [double_plus(lat, frozenset((a,))) for a in els]
-    res = [law("a in a++ and a+++ = a+", lambda a: a in dps[a] and plus(lat, dps[a]) == cs[a],
+    res = [law("a in a++ and a+++ = a+",
+               lambda a: dps[a] >> a & 1 and plus_mask(lat, dps[a]) == cm[a],
                product(els), asserted, labelled(lat, "a"))]
 
-    all_antichains = all(is_antichain(lat, cs[a]) for a in els)
+    all_antichains = all(antichain_mask(lat, m) for m in cm)
     pentagon = find_n5_through_bounds(lat)
     ok = all_antichains == (pentagon is None)
     wit = None
@@ -314,8 +351,9 @@ def check_complement_sets(lat: Lattice) -> PropertyReport:
         wit = f"antichains={all_antichains} pentagon={found}"
     res.append(CheckResult("all a+ antichains iff no pentagon through bounds",
                            ok, wit, asserted))
-    res.append(law("every a+ convex", lambda a: is_convex(lat, cs[a]), product(els),
-                   asserted, lambda a: f"a={lat.labels[a]} a+={format_element_set(lat, cs[a])}"))
+    res.append(law("every a+ convex", lambda a: convex_mask(lat, cm[a]), product(els),
+                   asserted,
+                   lambda a: f"a={lat.labels[a]} a+={format_element_set(lat, members(cm[a]))}"))
 
     inj = dblplus_injective(lat)
     ident = satisfies_dblplus_identity(lat)
@@ -330,18 +368,18 @@ def check_modular_antichains(lat: Lattice) -> PropertyReport:
     """In a complemented modular lattice every plus set of a nonempty
     input, and every double_plus of an element, is an antichain."""
     asserted = is_complemented(lat) and is_modular(lat)
-    fmt = lambda s: format_element_set(lat, s)
-    cs = complement_sets(lat)
-    dps = [double_plus(lat, frozenset((a,))) for a in lat.elements]
+    fmt = lambda m: format_element_set(lat, members(m))
+    cm, dps = complement_masks(lat), dblplus_masks(lat)
+    full = (1 << lat.n) - 1
     return PropertyReport("antichain structure", (
-        law("every a+ an antichain", lambda a: is_antichain(lat, cs[a]),
-            product(lat.elements), asserted, lambda a: f"a={lat.labels[a]} a+={fmt(cs[a])}"),
+        law("every a+ an antichain", lambda a: antichain_mask(lat, cm[a]),
+            product(lat.elements), asserted, lambda a: f"a={lat.labels[a]} a+={fmt(cm[a])}"),
         # The closed sets are the A+ of nonempty A plus the carrier (the
         # plus of the empty set), which no a+ can equal.
-        law("A+ an antichain for every nonempty A", lambda s: is_antichain(lat, s),
-            ((s,) for s in closed_sets(lat) if s != lat.universe), asserted,
-            lambda s: f"A+={fmt(s)}"),
-        law("every a++ an antichain", lambda a: is_antichain(lat, dps[a]),
+        law("A+ an antichain for every nonempty A", lambda m: antichain_mask(lat, m),
+            ((m,) for m in closed_masks(lat) if m != full), asserted,
+            lambda m: f"A+={fmt(m)}"),
+        law("every a++ an antichain", lambda a: antichain_mask(lat, dps[a]),
             product(lat.elements), asserted, lambda a: f"a={lat.labels[a]} a++={fmt(dps[a])}"),
     ))
 
@@ -349,16 +387,17 @@ def check_modular_antichains(lat: Lattice) -> PropertyReport:
 def check_order_reversal(lat: Lattice) -> PropertyReport:
     """Three order-reversal statements and their entailments: the first
     implies the second, and the second and third are equivalent."""
-    cs = complement_sets(lat)
+    cm = complement_masks(lat)
+    meet, join, up = lat._meet, lat._join, lat._up
     pairs = list(product(lat.elements, repeat=2))
     xy = labelled(lat, "xy")
     r1 = law("(x^y)+ absorbs x+ v y+ pointwise",
-             lambda x, y: set_le1(lat, set_join(lat, cs[x], cs[y]), cs[lat.meet(x, y)]),
+             lambda x, y: mask_le1(lat, mask_join(lat, cm[x], cm[y]), cm[meet[x][y]]),
              pairs, False, xy)
     r2 = law("x below y reverses complement sets",
-             lambda x, y: not lat.leq(x, y) or set_le1(lat, cs[y], cs[x]), pairs, False, xy)
+             lambda x, y: not up[x] >> y & 1 or mask_le1(lat, cm[y], cm[x]), pairs, False, xy)
     r3 = law("(x v y)+ below x+ ^ y+ pointwise",
-             lambda x, y: set_le1(lat, cs[lat.join(x, y)], set_meet(lat, cs[x], cs[y])),
+             lambda x, y: mask_le1(lat, cm[join[x][y]], mask_meet(lat, cm[x], cm[y])),
              pairs, False, xy)
     s1, s2, s3 = r1.passed, r2.passed, r3.passed
     asserted = is_complemented(lat)
@@ -378,13 +417,13 @@ def check_dblplus_characterization(lat: Lattice) -> PropertyReport:
     (x v y) ^ z == 0 or (x ^ y) v z == 1."""
     hyp = is_complemented(lat) and is_modular(lat)
     ident = satisfies_dblplus_identity(lat)
-    cs = complement_sets(lat)
-    meet, join = lat.meet, lat.join
+    cm, dps = complement_masks(lat), dblplus_masks(lat)
+    meet, join = lat._meet, lat._join
     splitting = law(
         "splitting condition holds",
-        lambda x, y: any(meet(join(x, y), z) == lat.bottom or join(meet(x, y), z) == lat.top
-                         for z in cs[y]),
-        ((x, y) for x in lat.elements for y in sorted(double_plus(lat, frozenset((x,))))),
+        lambda x, y: any(meet[join[x][y]][z] == lat.bottom or join[meet[x][y]][z] == lat.top
+                         for z in members(cm[y])),
+        ((x, y) for x in lat.elements for y in members(dps[x])),
         False, labelled(lat, "xy"))
     cond = splitting.passed
 
@@ -401,6 +440,7 @@ def check_descending_chains(lat: Lattice) -> PropertyReport:
     """Every element's double_plus contains a closed singleton when the
     double complement map is injective."""
     asserted = is_complemented(lat) and dblplus_injective(lat)
+    dps = dblplus_masks(lat)
     found = ((a, find_closed_element_in_dblplus(lat, a)) for a in lat.elements)
 
     def witness(a, b):
@@ -410,6 +450,6 @@ def check_descending_chains(lat: Lattice) -> PropertyReport:
 
     return PropertyReport("descending chains", (
         law("a++ contains a closed singleton",
-            lambda a, b: b is not None and b in double_plus(lat, frozenset((a,))),
+            lambda a, b: b is not None and dps[a] >> b & 1,
             found, asserted, witness),
     ))

@@ -35,6 +35,28 @@ def _bits(mask: int):
         mask ^= low
 
 
+# Member ids of every byte value, so members() of a mask below 256 is
+# one tuple lookup.
+_BYTE_IDS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+
+
+def members(mask: int) -> tuple[int, ...]:
+    """The ids of the set bits of a subset mask, ascending."""
+    if mask < 256:
+        return _BYTE_IDS[mask]
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(out)
+
+
+def subset_key(mask: int):
+    """Sort key of a subset mask: size, then the ascending member ids."""
+    return mask.bit_count(), members(mask)
+
+
 def _upper_covers(up) -> list[int]:
     """Upper-cover mask of each element of an order given by its up-set
     masks: j covers i when j is strictly above i and strictly above no
@@ -202,16 +224,23 @@ class Lattice:
     def universe(self) -> frozenset:
         return self.memo("universe", lambda: frozenset(range(self.n)))
 
+    # The queries below reject foreign ids; loops inside the package
+    # index _up, _down, _meet and _join directly instead.
+
     def leq(self, a: int, b: int) -> bool:
+        check_ids(self, a, b)
         return bool(self._up[a] >> b & 1)
 
     def lt(self, a: int, b: int) -> bool:
+        check_ids(self, a, b)
         return a != b and bool(self._up[a] >> b & 1)
 
     def meet(self, a: int, b: int) -> int:
+        check_ids(self, a, b)
         return self._meet[a][b]
 
     def join(self, a: int, b: int) -> int:
+        check_ids(self, a, b)
         return self._join[a][b]
 
     def label(self, a: int) -> str:
@@ -267,6 +296,22 @@ def check_ids(lat: Lattice, *ids: int) -> None:
     for i in ids:
         if not 0 <= i < lat.n:
             raise InvalidParameter(f"id {i} is not in 0..{lat.n - 1}")
+
+
+def to_mask(lat: Lattice, s) -> int:
+    """The mask of a set of element ids. Raises InvalidParameter for an
+    id outside 0..n-1."""
+    m = 0
+    for x in s:
+        if not 0 <= x < lat.n:
+            raise InvalidParameter(f"id {x} is not in 0..{lat.n - 1}")
+        m |= 1 << x
+    return m
+
+
+def to_set(mask: int) -> frozenset:
+    """The frozenset of the ids of a subset mask."""
+    return frozenset(members(mask))
 
 
 def labelled(lat: Lattice, names: str):
@@ -370,36 +415,36 @@ def is_complemented(lat: Lattice) -> bool:
     return lat.memo("is_complemented", compute)
 
 
+def antichain_mask(lat: Lattice, m: int) -> bool:
+    """No two distinct members of the subset mask m are comparable."""
+    up, down = lat._up, lat._down
+    return all((up[a] | down[a]) & m == 1 << a for a in members(m))
+
+
+def convex_mask(lat: Lattice, m: int) -> bool:
+    """Every element between two members of the subset mask m is one."""
+    up, down = lat._up, lat._down
+    ids = members(m)
+    return all(not up[a] & down[b] & ~m for a in ids for b in ids)
+
+
 def is_antichain(lat: Lattice, s: frozenset) -> bool:
-    items = sorted(s)
-    for i, a in enumerate(items):
-        for b in items[i + 1:]:
-            if lat.leq(a, b) or lat.leq(b, a):
-                return False
-    return True
+    return antichain_mask(lat, to_mask(lat, s))
 
 
 def is_convex(lat: Lattice, s: frozenset) -> bool:
-    for a in s:
-        for b in s:
-            if not lat.leq(a, b):
-                continue
-            between = lat._up[a] & lat._down[b]
-            for d in _bits(between):
-                if d not in s:
-                    return False
-    return True
+    return convex_mask(lat, to_mask(lat, s))
 
 
 def find_n5_through_bounds(lat: Lattice):
     """First (bottom, e, f, g, top) pentagon with e < f and g a common
     complement of both, scanning e, f, g in ascending id order."""
-    bot, top = lat.bottom, lat.top
+    bot, top, up = lat.bottom, lat.top, lat._up
     for e in lat.elements:
         if e == bot or e == top:
             continue
         for f in lat.elements:
-            if f == bot or f == top or not lat.lt(e, f):
+            if f in (bot, top, e) or not up[e] >> f & 1:
                 continue
             for g in lat.elements:
                 if g in (bot, top, e, f):
@@ -413,12 +458,14 @@ def find_n5_through_bounds(lat: Lattice):
 def find_n5_sublattice(lat: Lattice):
     """First pentagon sublattice anywhere: {z, e, f, g, o} with e < f,
     g incomparable to both, common meet z and common join o."""
+    up = lat._up
+    leq = lambda x, y: up[x] >> y & 1
     for e in lat.elements:
         for f in lat.elements:
-            if not lat.lt(e, f):
+            if f == e or not leq(e, f):
                 continue
             for g in lat.elements:
-                if lat.leq(e, g) or lat.leq(g, e) or lat.leq(f, g) or lat.leq(g, f):
+                if leq(e, g) or leq(g, e) or leq(f, g) or leq(g, f):
                     continue
                 z = lat._meet[e][g]
                 if lat._meet[f][g] != z:
@@ -432,7 +479,7 @@ def find_n5_sublattice(lat: Lattice):
 
 def check_lattice_axioms(lat: Lattice) -> PropertyReport:
     """Cross-check the precomputed tables against the order relation."""
-    meet, join = lat._meet, lat._join
+    meet, join, up = lat._meet, lat._join, lat._up
     pairs = list(product(lat.elements, repeat=2))
     ab = labelled(lat, "ab")
     return PropertyReport("lattice axioms", (
@@ -441,7 +488,7 @@ def check_lattice_axioms(lat: Lattice) -> PropertyReport:
         law("absorption", lambda a, b: meet[a][join[a][b]] == a and join[a][meet[a][b]] == a,
             pairs, True, ab),
         law("order agrees with meet/join",
-            lambda a, b: lat.leq(a, b) == (meet[a][b] == a) == (join[a][b] == b),
+            lambda a, b: bool(up[a] >> b & 1) == (meet[a][b] == a) == (join[a][b] == b),
             pairs, True, ab),
         law("associativity",
             lambda a, b, c: (meet[meet[a][b]][c] == meet[a][meet[b][c]]

@@ -123,12 +123,9 @@ def direct_product(l1: Lattice, l2: Lattice) -> Lattice:
     for i in l1.elements:
         for j in l2.elements:
             m = 0
-            for x in l1.elements:
-                if not l1.leq(i, x):
-                    continue
-                for y in l2.elements:
-                    if l2.leq(j, y):
-                        m |= 1 << (x * n2 + y)
+            for x in _bits(l1.up_mask(i)):
+                for y in _bits(l2.up_mask(j)):
+                    m |= 1 << (x * n2 + y)
             ups.append(m)
     name = f"({l1.name or '?'})x({l2.name or '?'})"
     return Lattice(labels, ups, name=name)

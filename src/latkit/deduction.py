@@ -7,9 +7,12 @@ bottom {1} and top L. Theta(D) relates x and y when both implication sets
 between them stay inside D; compatible deductive systems are exactly the
 ones whose Theta is a substitution-friendly equivalence with kernel D.
 
-Relations on elements are frozensets of ordered id pairs: equivalences
-are stored that way rather than as partitions because Theta of an
-arbitrary deductive system can fail transitivity.
+Inside this module subsets are int masks and a relation on elements is
+a tuple of row masks, row x holding the y related to x; relations stay
+rows from enumeration to verdict. They are rows rather than partitions
+because Theta of an arbitrary deductive system can fail transitivity.
+The public functions take and return frozensets of ids, and relations as
+frozensets of ordered id pairs.
 """
 
 from __future__ import annotations
@@ -19,85 +22,125 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .connectives import implies_table, is_mn_shaped
-from .core import (Lattice, check_ids, format_element_set, is_complemented,
-                   is_modular)
+from .complementation import complement_masks
+from .connectives import implies_masks, is_mn_shaped
+from .core import (Lattice, format_element_set, is_complemented, is_modular,
+                   members, subset_key, to_mask, to_set)
 from .errors import InvalidParameter, SizeCapExceeded
 from .report import SKIPPED, CheckResult, PropertyReport, law
+from .setops import intersect_rows
 
 Relation = frozenset
+Rows = tuple
 
 SUBSET_CAP = 20
 PARTITION_CAP = 10
 
 
-def _check_members(lat: Lattice, s) -> None:
-    """Raises InvalidParameter unless every member of s is an element id;
-    one bound test on the least and the greatest member."""
-    if s:
-        check_ids(lat, min(s), max(s))
+def _rows(lat: Lattice, rel) -> Rows:
+    """Row masks of a relation given as ordered id pairs. Raises
+    InvalidParameter for an id outside 0..n-1."""
+    n = lat.n
+    rows = [0] * n
+    for a, b in rel:
+        if not (0 <= a < n and 0 <= b < n):
+            raise InvalidParameter(f"pair ({a}, {b}) is not in 0..{n - 1}")
+        rows[a] |= 1 << b
+    return tuple(rows)
 
 
-def is_deductive_system(lat: Lattice, d: frozenset) -> bool:
-    _check_members(lat, d)
-    if lat.top not in d:
+def _pairs(rows: Rows) -> Relation:
+    return frozenset((x, y) for x, row in enumerate(rows) for y in members(row))
+
+
+def _block_rows(n: int, blocks) -> Rows:
+    """Row masks of the relation "same block"."""
+    rows = [0] * n
+    for blk in blocks:
+        m = 0
+        for a in blk:
+            m |= 1 << a
+        for a in blk:
+            rows[a] |= m
+    return tuple(rows)
+
+
+def _is_deductive(lat: Lattice, d: int) -> bool:
+    if not d >> lat.top & 1:
         return False
-    it = implies_table(lat)
-    for a in d:
-        for b in lat.elements:
-            if b not in d and it[a][b] <= d:
+    it = implies_masks(lat)
+    outside = members(~d & ((1 << lat.n) - 1))
+    for a in members(d):
+        row = it[a]
+        for b in outside:
+            if not row[b] & ~d:
                 return False
     return True
 
 
-def _order_filters(lat: Lattice):
-    """All nonempty upward-closed subsets; an element may enter only when
-    everything covering it is already in."""
-    n = lat.n
-    parents = [[] for _ in range(n)]
-    for lo, hi in lat.covers():
-        parents[lo].append(hi)
-    # Scan from the top downwards so parents are decided first.
-    order = sorted(lat.elements, key=lambda i: len(lat.up_set(i)))
-    chosen: set[int] = set()
-    out: list[frozenset] = []
+def is_deductive_system(lat: Lattice, d: frozenset) -> bool:
+    """Raises InvalidParameter for an id outside 0..n-1."""
+    return _is_deductive(lat, to_mask(lat, d))
 
-    def walk(k: int):
+
+def _order_filter_masks(lat: Lattice) -> list[int]:
+    """All nonempty upward-closed subsets; an element may enter only when
+    everything strictly above it is already in."""
+    n, up = lat.n, lat._up
+    # Scan from the top downwards so the elements above are decided first.
+    order = sorted(lat.elements, key=lambda i: up[i].bit_count())
+    strictly_above = [up[i] & ~(1 << i) for i in range(n)]
+    out: list[int] = []
+
+    def walk(k: int, chosen: int):
         if k == n:
             if chosen:
-                out.append(frozenset(chosen))
+                out.append(chosen)
             return
         e = order[k]
-        walk_in = all(p in chosen for p in parents[e])
-        if walk_in:
-            chosen.add(e)
-            walk(k + 1)
-            chosen.remove(e)
-        walk(k + 1)
+        if not strictly_above[e] & ~chosen:
+            walk(k + 1, chosen | 1 << e)
+        walk(k + 1, chosen)
 
-    walk(0)
-    return out
+    walk(0, 0)
+    return sorted(out, key=subset_key)
+
+
+def _is_order_filter(lat: Lattice, f: int) -> bool:
+    up = lat._up
+    return f != 0 and not any(up[x] & ~f for x in members(f))
+
+
+def _meet_closed(lat: Lattice, f: int) -> bool:
+    meet = lat._meet
+    ids = members(f)
+    return all(f >> meet[x][y] & 1 for x in ids for y in ids)
+
+
+def _filter_masks(lat: Lattice) -> list[int]:
+    return [f for f in _order_filter_masks(lat) if _meet_closed(lat, f)]
 
 
 def order_filters(lat: Lattice) -> list[frozenset]:
-    return sorted(_order_filters(lat), key=lambda s: (len(s), sorted(s)))
+    return [to_set(f) for f in _order_filter_masks(lat)]
 
 
 def is_order_filter(lat: Lattice, f: frozenset) -> bool:
-    if not f:
-        return False
-    _check_members(lat, f)
-    return all(y in f for x in f for y in lat.up_set(x))
+    """Raises InvalidParameter for an id outside 0..n-1."""
+    return _is_order_filter(lat, to_mask(lat, f))
+
+
+def _is_filter(lat: Lattice, f: int) -> bool:
+    return _is_order_filter(lat, f) and _meet_closed(lat, f)
 
 
 def is_filter(lat: Lattice, f: frozenset) -> bool:
-    if not is_order_filter(lat, f):
-        return False
-    return all(lat.meet(x, y) in f for x in f for y in f)
+    """Raises InvalidParameter for an id outside 0..n-1."""
+    return _is_filter(lat, to_mask(lat, f))
 
 
 def filters(lat: Lattice) -> list[frozenset]:
-    return [f for f in order_filters(lat) if all(lat.meet(x, y) in f for x in f for y in f)]
+    return [to_set(f) for f in _filter_masks(lat)]
 
 
 @dataclass(frozen=True)
@@ -114,42 +157,46 @@ class DSLattice:
         return self.systems.index(d)
 
 
-def all_deductive_systems(lat: Lattice, cap: int = SUBSET_CAP) -> DSLattice:
-    """Enumerate deductive systems. Candidates are pruned to order filters
-    containing top, since every deductive system is one. The family is
-    memoised on the lattice; the cap is checked on every call."""
+def _deductive_family(lat: Lattice, cap: int) -> tuple[tuple[int, ...], DSLattice]:
+    """The masks of all deductive systems in (size, ids) order and their
+    DSLattice, memoised on the lattice; the cap is checked on every call.
+    Candidates are the order filters, since every deductive system is
+    one."""
     if lat.n > cap:
         raise SizeCapExceeded(
             f"deductive-system enumeration needs at most {cap} elements, got {lat.n}")
 
     def compute():
-        systems = [f for f in _order_filters(lat)
-                   if lat.top in f and is_deductive_system(lat, f)]
-        systems.sort(key=lambda s: (len(s), sorted(s)))
+        systems = tuple(f for f in _order_filter_masks(lat) if _is_deductive(lat, f))
         index = {s: i for i, s in enumerate(systems)}
         k = len(systems)
-
+        # containing[p]: positions of the systems that contain system p.
+        # The family is intersection closed, so the join of two systems
+        # is the first, and smallest, position containing both.
+        containing = [sum(1 << q for q, c in enumerate(systems) if not s & ~c)
+                      for s in systems]
         meet = [[0] * k for _ in range(k)]
         join = [[0] * k for _ in range(k)]
         for i, a in enumerate(systems):
             for j, b in enumerate(systems):
-                inter = a & b
-                if inter not in index:
+                inter = index.get(a & b)
+                if inter is None:
                     raise InvalidParameter(
                         "internal: intersection of deductive systems escaped the family")
-                meet[i][j] = index[inter]
-                union = a | b
-                sup = lat.universe
-                for c in systems:
-                    if union <= c and c < sup:
-                        sup = c
-                join[i][j] = index[sup]
-
-        bottom = index[min(systems, key=len)] if systems else -1
-        top = index[lat.universe]
-        return DSLattice(tuple(systems), tuple(tuple(r) for r in meet),
-                         tuple(tuple(r) for r in join), bottom, top)
+                meet[i][j] = inter
+                both = containing[i] & containing[j]
+                join[i][j] = (both & -both).bit_length() - 1
+        dsl = DSLattice(tuple(to_set(s) for s in systems),
+                        tuple(tuple(r) for r in meet), tuple(tuple(r) for r in join),
+                        0, index[(1 << lat.n) - 1])
+        return systems, dsl
     return lat.memo("deductive_systems", compute)
+
+
+def all_deductive_systems(lat: Lattice, cap: int = SUBSET_CAP) -> DSLattice:
+    """Enumerate deductive systems. The family is memoised on the
+    lattice; the cap is checked on every call."""
+    return _deductive_family(lat, cap)[1]
 
 
 def ds_lattice_is_boolean_2n(lat: Lattice) -> bool:
@@ -159,65 +206,72 @@ def ds_lattice_is_boolean_2n(lat: Lattice) -> bool:
     if not is_mn_shaped(lat):
         raise InvalidParameter("boolean structure check expects a diamond lattice")
     atoms = [x for x in lat.elements if x not in (lat.bottom, lat.top)]
-    dsl = all_deductive_systems(lat)
-    found = set(dsl.systems)
+    found = set(_deductive_family(lat, SUBSET_CAP)[0])
+    full = (1 << lat.n) - 1
+    every_atom = to_mask(lat, atoms)
 
-    images: dict[frozenset, frozenset] = {}
-    subsets = [frozenset(c) for r in range(len(atoms) + 1)
-               for c in itertools.combinations(atoms, r)]
-    for a in subsets:
-        images[a] = lat.universe if len(a) == len(atoms) else a | {lat.top}
+    images = {}
+    for r in range(len(atoms) + 1):
+        for c in itertools.combinations(atoms, r):
+            a = to_mask(lat, c)
+            images[a] = full if a == every_atom else a | 1 << lat.top
     if set(images.values()) != found or len(found) != 1 << len(atoms):
         return False
-    for a in subsets:
-        for b in subsets:
-            if (a <= b) != (images[a] <= images[b]):
-                return False
-    return True
+    return all((not a & ~b) == (not images[a] & ~images[b])
+               for a in images for b in images)
 
 
 # -- relations ---------------------------------------------------------
 
+def _within_rows(lat: Lattice, d: int) -> list[int]:
+    """Row x holds the y with implies(x, y) within d."""
+    nd = ~d
+    return [sum(1 << y for y, m in enumerate(row) if not m & nd)
+            for row in implies_masks(lat)]
+
+
+def _both_ways(rows) -> Rows:
+    """The symmetric part of a relation: x relates to y and y to x."""
+    return tuple(sum(1 << y for y in members(row) if rows[y] >> x & 1)
+                 for x, row in enumerate(rows))
+
+
+def _theta(lat: Lattice, d: int) -> Rows:
+    return _both_ways(_within_rows(lat, d))
+
+
 def theta(lat: Lattice, d: frozenset) -> Relation:
-    it = implies_table(lat)
-    return frozenset((x, y) for x in lat.elements for y in lat.elements
-                     if it[x][y] <= d and it[y][x] <= d)
+    """Raises InvalidParameter for an id outside 0..n-1."""
+    return _pairs(_theta(lat, to_mask(lat, d)))
+
+
+def _kernel(lat: Lattice, rows: Rows) -> int:
+    return sum(1 << x for x, row in enumerate(rows) if row >> lat.top & 1)
 
 
 def kernel(lat: Lattice, rel: Relation) -> frozenset:
-    return frozenset(x for x in lat.elements if (x, lat.top) in rel)
+    return to_set(_kernel(lat, _rows(lat, rel)))
+
+
+def _is_equivalence(rows: Rows) -> bool:
+    for x, row in enumerate(rows):
+        if not row >> x & 1:
+            return False
+        for y in members(row):
+            if not rows[y] >> x & 1 or rows[y] & ~row:
+                return False
+    return True
 
 
 def is_equivalence(lat: Lattice, rel: Relation) -> bool:
-    for x in lat.elements:
-        if (x, x) not in rel:
-            return False
-    for (a, b) in rel:
-        if (b, a) not in rel:
-            return False
-    members: dict[int, set[int]] = {}
-    for (a, b) in rel:
-        members.setdefault(a, set()).add(b)
-    for a, reach in members.items():
-        for b in reach:
-            if not members.get(b, set()) <= reach:
-                return False
-    return True
-
-
-def _class_count(lat: Lattice, rel: Relation) -> int:
-    """Number of classes of an equivalence relation."""
-    return len({frozenset(y for x, y in rel if x == a) for a in lat.elements})
+    return _is_equivalence(_rows(lat, rel))
 
 
 def is_meet_congruence(lat: Lattice, rel: Relation) -> bool:
-    if not is_equivalence(lat, rel):
-        return False
-    for (a, b) in rel:
-        for c in lat.elements:
-            if (lat.meet(a, c), lat.meet(b, c)) not in rel:
-                return False
-    return True
+    rows, meet = _rows(lat, rel), lat._meet
+    return _is_equivalence(rows) and all(
+        rows[meet[a][c]] >> meet[b][c] & 1
+        for a, row in enumerate(rows) for b in members(row) for c in lat.elements)
 
 
 def relation_of_blocks(blocks) -> Relation:
@@ -229,7 +283,13 @@ def relation_of_blocks(blocks) -> Relation:
     return frozenset(pairs)
 
 
-def all_meet_congruences(lat: Lattice, cap: int = PARTITION_CAP) -> list[Relation]:
+def _pair_key(rows: Rows):
+    """Sort key of a relation: its size, then its sorted pairs."""
+    pairs = tuple((x, y) for x, row in enumerate(rows) for y in members(row))
+    return len(pairs), pairs
+
+
+def _meet_congruence_rows(lat: Lattice, cap: int) -> list[Rows]:
     """All meet-compatible equivalences, by a depth-first refinement of
     partitions: elements are placed in a meet-friendly order so violated
     constraints are final and prune the branch immediately."""
@@ -237,13 +297,12 @@ def all_meet_congruences(lat: Lattice, cap: int = PARTITION_CAP) -> list[Relatio
         raise SizeCapExceeded(
             f"congruence enumeration needs at most {cap} elements, got {lat.n}")
     # Process in an order where the meet of two placed elements is placed.
-    order = sorted(lat.elements,
-                   key=lambda i: (len(lat.down_set(i)), i))
+    order = sorted(lat.elements, key=lambda i: (lat._down[i].bit_count(), i))
     n = lat.n
-    meet = lat.meet
+    meet = lat._meet
     blocks: list[list[int]] = []
     bid: dict[int, int] = {}
-    out: list[Relation] = []
+    out: list[Rows] = []
 
     def ok_with(e: int) -> bool:
         be = bid[e]
@@ -252,18 +311,18 @@ def all_meet_congruences(lat: Lattice, cap: int = PARTITION_CAP) -> list[Relatio
             if m == e:
                 continue
             for c in placed:
-                if bid[meet(e, c)] != bid[meet(m, c)]:
+                if bid[meet[e][c]] != bid[meet[m][c]]:
                     return False
         for blk in blocks:
             for i, a in enumerate(blk):
                 for b in blk[i + 1:]:
-                    if bid[meet(a, e)] != bid[meet(b, e)]:
+                    if bid[meet[a][e]] != bid[meet[b][e]]:
                         return False
         return True
 
     def walk(k: int):
         if k == n:
-            out.append(relation_of_blocks(blocks))
+            out.append(_block_rows(n, blocks))
             return
         e = order[k]
         for i in range(len(blocks)):
@@ -281,82 +340,107 @@ def all_meet_congruences(lat: Lattice, cap: int = PARTITION_CAP) -> list[Relatio
         del bid[e]
 
     walk(0)
-    return sorted(out, key=lambda r: (len(r), sorted(r)))
+    return sorted(out, key=_pair_key)
+
+
+def all_meet_congruences(lat: Lattice, cap: int = PARTITION_CAP) -> list[Relation]:
+    return [_pairs(rows) for rows in _meet_congruence_rows(lat, cap)]
 
 
 def find_meet_congruence_with_kernel(lat: Lattice, d: frozenset,
                                      cap: int = PARTITION_CAP) -> Relation | None:
-    for rel in all_meet_congruences(lat, cap):
-        if kernel(lat, rel) == d:
-            return rel
+    """Raises InvalidParameter for an id outside 0..n-1."""
+    want = to_mask(lat, d)
+    for rows in _meet_congruence_rows(lat, cap):
+        if _kernel(lat, rows) == want:
+            return _pairs(rows)
     return None
 
 
+def _has_sp_plus(lat: Lattice, rows: Rows) -> bool:
+    """(a, b) related puts every complement of b in relation with every
+    complement of a: the union of b+ over the row of a lies within the
+    rows of all members of a+."""
+    cm, full = complement_masks(lat), (1 << lat.n) - 1
+    for a, row in enumerate(rows):
+        reach = 0
+        for b in members(row):
+            reach |= cm[b]
+        if reach & ~intersect_rows(rows, cm[a], full):
+            return False
+    return True
+
+
 def has_sp_plus(lat: Lattice, rel: Relation) -> bool:
-    from .complementation import complements
-    for (a, b) in rel:
-        for x in complements(lat, a):
-            for y in complements(lat, b):
-                if (x, y) not in rel:
-                    return False
+    return _has_sp_plus(lat, _rows(lat, rel))
+
+
+def _substitutes(lat: Lattice, rows: Rows, target) -> bool:
+    """For (a, b) related by rows and every c, each x in a->c relates by
+    target to each y in b->c: the union of b->c over the row of a lies
+    within the target rows of all members of a->c."""
+    it, full = implies_masks(lat), (1 << lat.n) - 1
+    for a, row in enumerate(rows):
+        bs = members(row)
+        for c, xs in enumerate(it[a]):
+            reach = 0
+            for b in bs:
+                reach |= it[b][c]
+            if reach and reach & ~intersect_rows(target, xs, full):
+                return False
     return True
 
 
 def has_sp_implies(lat: Lattice, rel: Relation) -> bool:
-    it = implies_table(lat)
-    for (a, b) in rel:
-        for c in lat.elements:
-            for x in it[a][c]:
-                for y in it[b][c]:
-                    if (x, y) not in rel:
-                        return False
-    return True
+    rows = _rows(lat, rel)
+    return _substitutes(lat, rows, rows)
 
 
 def is_compatible_ds(lat: Lattice, d) -> bool:
     """Deductive system satisfying the two closure conditions that make
-    Theta(d) a substitution-friendly equivalence with kernel d. Verdicts
-    are memoised on the lattice; d may be any iterable of element ids."""
-    d = frozenset(d)
+    Theta(d) a substitution-friendly equivalence with kernel d. d may be
+    any iterable of element ids; raises InvalidParameter for an id
+    outside 0..n-1."""
+    return _is_compatible(lat, to_mask(lat, d))
+
+
+def _is_compatible(lat: Lattice, d: int) -> bool:
+    """is_compatible_ds on a mask; verdicts are memoised on the lattice."""
     verdicts = lat.memo("compatible_ds", dict)
     try:
         return verdicts[d]
     except KeyError:
-        ok = verdicts[d] = _is_compatible_ds(lat, d)
+        ok = verdicts[d] = _compatible_verdict(lat, d)
         return ok
 
 
-def _is_compatible_ds(lat: Lattice, d: frozenset) -> bool:
-    if not is_deductive_system(lat, d):
+def _compatible_verdict(lat: Lattice, d: int) -> bool:
+    if not _is_deductive(lat, d):
         return False
-    it = implies_table(lat)
-    n = lat.n
-    sub = [[it[a][b] <= d for b in range(n)] for a in range(n)]
-
-    hypothesis_sets = {it[a][b] for a in range(n) for b in range(n) if sub[a][b]}
-    for xs in hypothesis_sets:
-        for c in range(n):
-            for e in range(n):
-                if sub[c][e]:
-                    continue
-                if all(sub[x][t] for x in xs for t in it[c][e]):
-                    return False
-
+    it, n = implies_masks(lat), lat.n
+    full = (1 << n) - 1
+    sub = _within_rows(lat, d)
+    # For a hypothesis set X = a->b within d, within(X) holds the t with
+    # x->t within d for every x in X; no implication set outside d may
+    # lie inside it.
+    outside = {it[c][e] for c in range(n) for e in range(n) if not sub[c] >> e & 1}
+    checked = set()
     for a in range(n):
-        for b in range(n):
-            if not (sub[a][b] and sub[b][a]):
+        for b in members(sub[a]):
+            xs = it[a][b]
+            if xs in checked:
                 continue
-            for c in range(n):
-                for x in it[a][c]:
-                    for t in it[b][c]:
-                        if not sub[x][t]:
-                            return False
-    return True
+            checked.add(xs)
+            within = intersect_rows(sub, xs, full)
+            if any(not m & ~within for m in outside):
+                return False
+
+    return _substitutes(lat, _both_ways(sub), sub)
 
 
 def compatible_systems(lat: Lattice, cap: int = SUBSET_CAP) -> list[frozenset]:
-    return [d for d in all_deductive_systems(lat, cap).systems
-            if is_compatible_ds(lat, d)]
+    masks, dsl = _deductive_family(lat, cap)
+    return [s for m, s in zip(masks, dsl.systems) if _is_compatible(lat, m)]
 
 
 # -- partitions and sampling -------------------------------------------
@@ -378,15 +462,15 @@ def all_partitions(n: int):
     yield from rec(0, [])
 
 
-def sample_equivalences(lat: Lattice, count: int = 150, seed: int = 0) -> list[Relation]:
+def _sample_rows(lat: Lattice, count: int, seed: int) -> list[Rows]:
     """Equivalences for larger lattices: all single-pair collapses plus
     seeded random joins of several collapses (transitive closure of the
     merged blocks)."""
     n = lat.n
     rng = random.Random(seed)
-    rels: list[Relation] = []
+    rels: list[Rows] = []
 
-    def closure_of(pairs) -> Relation:
+    def closure_of(pairs) -> Rows:
         parent = list(range(n))
 
         def find(x):
@@ -399,10 +483,10 @@ def sample_equivalences(lat: Lattice, count: int = 150, seed: int = 0) -> list[R
             ra, rb = find(a), find(b)
             if ra != rb:
                 parent[ra] = rb
-        groups: dict[int, list[int]] = {}
+        block = [0] * n
         for x in range(n):
-            groups.setdefault(find(x), []).append(x)
-        return relation_of_blocks(groups.values())
+            block[find(x)] |= 1 << x
+        return tuple(block[find(x)] for x in range(n))
 
     for a in range(n):
         for b in range(a + 1, n):
@@ -433,9 +517,14 @@ def _skips_over_cap(title: str):
 
 
 def _sets(lat: Lattice, *names: str):
-    """Witness for law(): the leading subsets of a tuple as "D=... E=..."."""
-    return lambda *sets: " ".join(f"{k}={format_element_set(lat, s)}"
-                                  for k, s in zip(names, sets))
+    """Witness for law(): the leading subset masks of a tuple as "D=... E=..."."""
+    return lambda *masks: " ".join(f"{k}={format_element_set(lat, members(m))}"
+                                   for k, m in zip(names, masks))
+
+
+def _within(a: Rows, b: Rows) -> bool:
+    """Relation a is contained in relation b."""
+    return not any(x & ~y for x, y in zip(a, b))
 
 
 @_skips_over_cap("filters vs deductive systems")
@@ -445,16 +534,21 @@ def check_filters_vs_deductive_systems(lat: Lattice,
     closed ones are filters; on modular lattices every filter is one."""
     comp = is_complemented(lat)
     modular = comp and is_modular(lat)
-    systems = [(d,) for d in all_deductive_systems(lat, cap).systems]
-    it = implies_table(lat)
+    systems = [(d,) for d in _deductive_family(lat, cap)[0]]
+    it = implies_masks(lat)
+
+    def implication_closed(d):
+        ids = members(d)
+        return not any(it[x][y] & ~d for x in ids for y in ids)
+
     return (
         law("every deductive system an order filter",
-            lambda d: is_order_filter(lat, d), systems, comp, _sets(lat, "D")),
+            lambda d: _is_order_filter(lat, d), systems, comp, _sets(lat, "D")),
         law("internally implication-closed systems are filters",
-            lambda d: not all(it[x][y] <= d for x in d for y in d) or is_filter(lat, d),
+            lambda d: not implication_closed(d) or _is_filter(lat, d),
             systems, comp, _sets(lat, "D")),
-        law("every filter a deductive system", lambda f: is_deductive_system(lat, f),
-            ((f,) for f in filters(lat)), modular, _sets(lat, "F")),
+        law("every filter a deductive system", lambda f: _is_deductive(lat, f),
+            ((f,) for f in _filter_masks(lat)), modular, _sets(lat, "F")),
     )
 
 
@@ -463,31 +557,31 @@ def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckRe
     """Family structure: intersection closure, bounds, Theta reflexivity
     and symmetry, and the same closure for compatible systems."""
     comp = is_complemented(lat)
-    dsl = all_deductive_systems(lat, cap)
-    systems = dsl.systems
+    systems, dsl = _deductive_family(lat, cap)
     sysset = set(systems)
-    compat = [d for d in systems if is_compatible_ds(lat, d)]
+    compat = [d for d in systems if _is_compatible(lat, d)]
+    full = (1 << lat.n) - 1
 
-    def reflexive(rel):
-        return all((x, x) in rel for x in lat.elements)
+    def reflexive(rows):
+        return all(row >> x & 1 for x, row in enumerate(rows))
 
-    def theta_witness(d, rel):
-        return f"D={format_element_set(lat, d)} not " + (
-            "reflexive" if not reflexive(rel) else "symmetric")
+    def theta_witness(d, rows):
+        return f"D={format_element_set(lat, members(d))} not " + (
+            "reflexive" if not reflexive(rows) else "symmetric")
 
     return (
-        CheckResult("bottom is {1}", systems[dsl.bottom_index] == frozenset((lat.top,)),
+        CheckResult("bottom is {1}", systems[dsl.bottom_index] == 1 << lat.top,
                     None, comp),
-        CheckResult("top is the carrier", systems[dsl.top_index] == lat.universe,
+        CheckResult("top is the carrier", systems[dsl.top_index] == full,
                     None, comp),
         law("intersection closed", lambda a, b: a & b in sysset,
             itertools.product(systems, repeat=2), comp, _sets(lat, "D", "E")),
         law("theta reflexive and symmetric",
-            lambda d, rel: reflexive(rel) and all((b, a) in rel for (a, b) in rel),
-            ((d, theta(lat, d)) for d in systems), comp, theta_witness),
-        CheckResult("carrier compatible", lat.universe in compat, None, comp),
+            lambda d, rows: reflexive(rows) and _both_ways(rows) == rows,
+            ((d, _theta(lat, d)) for d in systems), comp, theta_witness),
+        CheckResult("carrier compatible", full in compat, None, comp),
         law("compatible systems intersection closed",
-            lambda a, b: is_compatible_ds(lat, a & b) and a & b in sysset,
+            lambda a, b: _is_compatible(lat, a & b) and a & b in sysset,
             itertools.product(compat, repeat=2), comp, _sets(lat, "D", "E")),
     )
 
@@ -498,12 +592,13 @@ def check_meet_congruence_kernels(lat: Lattice,
     """Kernels of meet congruences are deductive systems, and theta of the
     kernel refines the congruence (complemented modular lattices)."""
     asserted = is_complemented(lat) and is_modular(lat)
-    kernels = [(kernel(lat, rel), rel) for rel in all_meet_congruences(lat, cap)]
+    kernels = [(_kernel(lat, rows), rows) for rows in _meet_congruence_rows(lat, cap)]
     return (
         law("kernel of every meet congruence a deductive system",
-            lambda k, rel: is_deductive_system(lat, k), kernels, asserted,
+            lambda k, rows: _is_deductive(lat, k), kernels, asserted,
             _sets(lat, "kernel")),
-        law("theta of kernel within the congruence", lambda k, rel: theta(lat, k) <= rel,
+        law("theta of kernel within the congruence",
+            lambda k, rows: _within(_theta(lat, k), rows),
             kernels, asserted, _sets(lat, "kernel")),
     )
 
@@ -515,20 +610,22 @@ def check_substitution_equivalences(lat: Lattice, exhaustive_cap: int = 6,
     system, and they refine theta of that kernel."""
     asserted = is_complemented(lat)
     if lat.n <= exhaustive_cap:
-        source = [relation_of_blocks(p) for p in all_partitions(lat.n)]
+        source = [_block_rows(lat.n, p) for p in all_partitions(lat.n)]
         mode = "exhaustive"
     else:
-        source = sample_equivalences(lat, samples, seed)
+        source = _sample_rows(lat, samples, seed)
         mode = f"{len(source)} sampled"
-    kernels = [(kernel(lat, rel), rel) for rel in source if has_sp_implies(lat, rel)]
+    kernels = [(_kernel(lat, rows), rows) for rows in source
+               if _substitutes(lat, rows, rows)]
 
     return PropertyReport(f"substitution equivalences ({mode})", (
         law("implication substitution gives complement substitution",
-            lambda k, rel: has_sp_plus(lat, rel), kernels, asserted,
-            lambda k, rel: f"classes={_class_count(lat, rel)}"),
-        law("kernel a deductive system", lambda k, rel: is_deductive_system(lat, k),
+            lambda k, rows: _has_sp_plus(lat, rows), kernels, asserted,
+            lambda k, rows: f"classes={len(set(rows))}"),
+        law("kernel a deductive system", lambda k, rows: _is_deductive(lat, k),
             kernels, asserted, _sets(lat, "kernel")),
-        law("relation within theta of kernel", lambda k, rel: rel <= theta(lat, k),
+        law("relation within theta of kernel",
+            lambda k, rows: _within(rows, _theta(lat, k)),
             kernels, asserted, _sets(lat, "kernel")),
         CheckResult(f"surveyed {len(kernels)} substitution equivalences", True,
                     None, asserted=False),
@@ -543,16 +640,16 @@ def check_compatible_kernel_recovery(lat: Lattice,
     the other systems the transitivity verdict is recorded only."""
     comp = is_complemented(lat)
     compat, other = [], []
-    for d in all_deductive_systems(lat, cap).systems:
-        (compat if is_compatible_ds(lat, d) else other).append((d, theta(lat, d)))
-    other_transitive = sum(is_equivalence(lat, rel) for _, rel in other)
+    for d in _deductive_family(lat, cap)[0]:
+        (compat if _is_compatible(lat, d) else other).append((d, _theta(lat, d)))
+    other_transitive = sum(_is_equivalence(rows) for _, rows in other)
 
     return (
         law("theta of compatible systems an equivalence",
-            lambda d, rel: is_equivalence(lat, rel), compat, comp, _sets(lat, "D")),
+            lambda d, rows: _is_equivalence(rows), compat, comp, _sets(lat, "D")),
         law("theta of compatible systems has implication substitution",
-            lambda d, rel: has_sp_implies(lat, rel), compat, comp, _sets(lat, "D")),
-        law("kernel of theta recovers the system", lambda d, rel: kernel(lat, rel) == d,
+            lambda d, rows: _substitutes(lat, rows, rows), compat, comp, _sets(lat, "D")),
+        law("kernel of theta recovers the system", lambda d, rows: _kernel(lat, rows) == d,
             compat, comp, _sets(lat, "D")),
         CheckResult(
             f"{len(compat)} compatible systems; theta transitive for "

@@ -264,3 +264,137 @@ def first_missing_bound(labels, up) -> tuple[tuple[int, int], str] | None:
                 if not any(all(below(d, c) for d in bounds) for c in bounds):
                     return (a, b), f"elements {labels[a]!r}, {labels[b]!r} have no {what}"
     return None
+
+
+# -- subset operations on frozensets ------------------------------------
+
+def brute_set_join(lat: Lattice, a: frozenset, b: frozenset) -> frozenset:
+    return frozenset(lat.join(x, y) for x in a for y in b)
+
+
+def brute_set_meet(lat: Lattice, a: frozenset, b: frozenset) -> frozenset:
+    return frozenset(lat.meet(x, y) for x in a for y in b)
+
+
+def brute_set_le(lat: Lattice, a: frozenset, b: frozenset) -> bool:
+    return all(lat.leq(x, y) for x in a for y in b)
+
+
+def brute_set_le1(lat: Lattice, a: frozenset, b: frozenset) -> bool:
+    return all(any(lat.leq(x, y) for y in b) for x in a)
+
+
+def brute_set_le2(lat: Lattice, a: frozenset, b: frozenset) -> bool:
+    return all(any(lat.leq(x, y) for x in a) for y in b)
+
+
+def brute_closure_scan(lat: Lattice, comp, cs: tuple) -> tuple:
+    """The closure-lattice scan on frozensets: the family cs (in order)
+    under plus over the complement table comp, with the O(k^3) search for
+    a join that is not least or a meet that is not greatest. Returns the
+    meet table, join table, orthocomplement and violations."""
+    universe = frozenset(lat.elements)
+
+    def plus(s):
+        out = universe
+        for x in s:
+            out = out & frozenset(comp[x])
+        return out
+
+    index = {s: i for i, s in enumerate(cs)}
+    k = len(cs)
+    fmt = lambda s: format_element_set(lat, s)
+    violations = []
+    for s in cs:
+        if plus(plus(s)) != s:
+            violations.append(f"family member not closed: {fmt(s)}")
+    ortho = []
+    for s in cs:
+        p = plus(s)
+        if p not in index:
+            violations.append(f"orthocomplement escapes the family: {fmt(s)}")
+            ortho.append(-1)
+        else:
+            ortho.append(index[p])
+    meet = [[0] * k for _ in range(k)]
+    join = [[0] * k for _ in range(k)]
+    for i, s in enumerate(cs):
+        for j, t in enumerate(cs):
+            m = s & t
+            if m not in index:
+                violations.append(f"intersection escapes the family: {fmt(s)}, {fmt(t)}")
+                meet[i][j] = -1
+            else:
+                meet[i][j] = index[m]
+            u = plus(plus(s | t))
+            if u not in index:
+                violations.append(f"closure of union escapes the family: {fmt(s)}, {fmt(t)}")
+                join[i][j] = -1
+            else:
+                join[i][j] = index[u]
+                if not (s <= u and t <= u):
+                    violations.append(f"join not an upper bound: {fmt(s)}, {fmt(t)}")
+    for i, s in enumerate(cs):
+        for j, t in enumerate(cs):
+            u = cs[join[i][j]]
+            m = cs[meet[i][j]]
+            for w in cs:
+                if s <= w and t <= w and not u <= w:
+                    violations.append(f"join not least: {fmt(s)}, {fmt(t)}")
+                    break
+                if w <= s and w <= t and not w <= m:
+                    violations.append(f"meet not greatest: {fmt(s)}, {fmt(t)}")
+                    break
+    full = index.get(universe)
+    empty = index.get(frozenset())
+    if full is None or empty is None:
+        violations.append("family lacks empty set or full carrier")
+    for i, s in enumerate(cs):
+        o = ortho[i]
+        if o < 0:
+            continue
+        if ortho[o] != i:
+            violations.append(f"orthocomplement not involutive: {fmt(s)}")
+        if meet[i][o] != empty:
+            violations.append(f"set meets its orthocomplement: {fmt(s)}")
+        if join[i][o] != full:
+            violations.append(f"set does not join to full with orthocomplement: {fmt(s)}")
+        for j, t in enumerate(cs):
+            if s <= t and not cs[ortho[j]] <= cs[o]:
+                violations.append(f"orthocomplement not antitone: {fmt(s)}, {fmt(t)}")
+    return (tuple(tuple(r) for r in meet), tuple(tuple(r) for r in join),
+            tuple(ortho), tuple(violations))
+
+
+# -- deduction on frozensets and pair sets --------------------------------
+
+def brute_theta(lat: Lattice, it, d: frozenset) -> frozenset:
+    return frozenset((x, y) for x in lat.elements for y in lat.elements
+                     if it[x][y] <= d and it[y][x] <= d)
+
+
+def brute_has_sp_plus(rel: frozenset, comp) -> bool:
+    return all((x, y) in rel for a, b in rel for x in comp[a] for y in comp[b])
+
+
+def brute_has_sp_implies(lat: Lattice, rel: frozenset, it) -> bool:
+    return all((x, y) in rel for a, b in rel for c in lat.elements
+               for x in it[a][c] for y in it[b][c])
+
+
+def brute_is_compatible_ds(lat: Lattice, it, d: frozenset) -> bool:
+    """A deductive system d such that no implication set outside d is
+    forced into d by a hypothesis set inside d, and theta(d) substitutes
+    into implication sets up to "within d"."""
+    n = lat.n
+    if lat.top not in d or any(b not in d and it[a][b] <= d
+                               for a in d for b in range(n)):
+        return False
+    sub = [[it[a][b] <= d for b in range(n)] for a in range(n)]
+    for xs in {it[a][b] for a in range(n) for b in range(n) if sub[a][b]}:
+        for c in range(n):
+            for e in range(n):
+                if not sub[c][e] and all(sub[x][t] for x in xs for t in it[c][e]):
+                    return False
+    return all(sub[x][t] for a in range(n) for b in range(n) if sub[a][b] and sub[b][a]
+               for c in range(n) for x in it[a][c] for t in it[b][c])
