@@ -146,15 +146,39 @@ def filters(lat: Lattice) -> list[frozenset]:
 @dataclass(frozen=True)
 class DSLattice:
     """All deductive systems ordered by inclusion, with meet/join tables
-    indexed by position in systems."""
+    indexed by position in systems. The k x k tables are built on first
+    access: no check reads them."""
     systems: tuple[frozenset, ...]
-    meet_table: tuple[tuple[int, ...], ...]
-    join_table: tuple[tuple[int, ...], ...]
     bottom_index: int
     top_index: int
 
     def index(self, d: frozenset) -> int:
         return self.systems.index(d)
+
+    @functools.cached_property
+    def _masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << x for x in s) for s in self.systems)
+
+    @functools.cached_property
+    def meet_table(self) -> tuple[tuple[int, ...], ...]:
+        systems = self._masks
+        index = {s: i for i, s in enumerate(systems)}
+        try:
+            return tuple(tuple(index[a & b] for b in systems) for a in systems)
+        except KeyError:
+            raise InvalidParameter(
+                "internal: intersection of deductive systems escaped the family") from None
+
+    @functools.cached_property
+    def join_table(self) -> tuple[tuple[int, ...], ...]:
+        # containing[p]: positions of the systems that contain system p.
+        # The family is intersection closed, so the join of two systems
+        # is the first, and smallest, position containing both.
+        systems = self._masks
+        containing = [sum(1 << q for q, c in enumerate(systems) if not s & ~c)
+                      for s in systems]
+        return tuple(tuple(((both := ci & cj) & -both).bit_length() - 1 for cj in containing)
+                     for ci in containing)
 
 
 def _deductive_family(lat: Lattice, cap: int) -> tuple[tuple[int, ...], DSLattice]:
@@ -168,27 +192,8 @@ def _deductive_family(lat: Lattice, cap: int) -> tuple[tuple[int, ...], DSLattic
 
     def compute():
         systems = tuple(f for f in _order_filter_masks(lat) if _is_deductive(lat, f))
-        index = {s: i for i, s in enumerate(systems)}
-        k = len(systems)
-        # containing[p]: positions of the systems that contain system p.
-        # The family is intersection closed, so the join of two systems
-        # is the first, and smallest, position containing both.
-        containing = [sum(1 << q for q, c in enumerate(systems) if not s & ~c)
-                      for s in systems]
-        meet = [[0] * k for _ in range(k)]
-        join = [[0] * k for _ in range(k)]
-        for i, a in enumerate(systems):
-            for j, b in enumerate(systems):
-                inter = index.get(a & b)
-                if inter is None:
-                    raise InvalidParameter(
-                        "internal: intersection of deductive systems escaped the family")
-                meet[i][j] = inter
-                both = containing[i] & containing[j]
-                join[i][j] = (both & -both).bit_length() - 1
-        dsl = DSLattice(tuple(to_set(s) for s in systems),
-                        tuple(tuple(r) for r in meet), tuple(tuple(r) for r in join),
-                        0, index[(1 << lat.n) - 1])
+        dsl = DSLattice(tuple(to_set(s) for s in systems), 0,
+                        systems.index((1 << lat.n) - 1))
         return systems, dsl
     return lat.memo("deductive_systems", compute)
 

@@ -27,10 +27,12 @@ def brute_plus(lat: Lattice, subset: frozenset) -> frozenset:
 
 
 def brute_galois_report(lat: Lattice, exhaustive_limit: int = 6,
-                        sample_pairs: int = 10000, seed: int = 0) -> PropertyReport:
+                        sample_pairs: int = 10000, seed: int = 0,
+                        table=None) -> PropertyReport:
     """check_galois_laws on frozensets through brute_plus: the same subset
     pairs (every pair, or the same seeded randint stream), scanned in the
-    same witness order."""
+    same witness order. A given table of per-element complement sets
+    replaces the lattice's own complements."""
     n = lat.n
     as_set = lambda m: frozenset(i for i in range(n) if m >> i & 1)
     if n <= exhaustive_limit:
@@ -48,7 +50,8 @@ def brute_galois_report(lat: Lattice, exhaustive_limit: int = 6,
 
     def pl(s):
         if s not in cache:
-            cache[s] = brute_plus(lat, s)
+            cache[s] = (brute_plus(lat, s) if table is None else
+                        frozenset(lat.elements).intersection(*(table[a] for a in s)))
         return cache[s]
 
     fmt = lambda s: format_element_set(lat, s)
