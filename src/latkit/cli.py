@@ -24,7 +24,7 @@ from .deduction import (PARTITION_CAP, SUBSET_CAP, all_deductive_systems,
 from .errors import InvalidParameter, LatticeError
 from .render import render_op_table, render_plus_table, to_dot
 from .report import SKIPPED, PropertyReport
-from .suite import GALOIS_SAMPLE_PAIRS, corpus_suite, lattice_suite
+from .suite import corpus_suite, lattice_suite
 
 
 @dataclass
@@ -90,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest lattice for congruence enumeration")
     p.add_argument("--max-elements", type=int, default=64,
                    help="reject lattices larger than this")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the sampled substitution equivalences "
+                        "on lattices above 6 elements")
     _add_output(p)
 
     p = subs.add_parser("deductive-systems", help="enumerate deductive systems")
@@ -229,8 +231,7 @@ def _verify_results(cfg: RunConfig):
                             cfg.max_partitions, cfg.seed)
     lat = load_source(cfg)
     name = lat.name or (cfg.file or "lattice")
-    return [(name, lattice_suite(lat, cfg.max_subsets, cfg.max_partitions,
-                                 cfg.seed, GALOIS_SAMPLE_PAIRS))]
+    return [(name, lattice_suite(lat, cfg.max_subsets, cfg.max_partitions, cfg.seed))]
 
 
 def _verify_text(results) -> tuple[str, bool]:

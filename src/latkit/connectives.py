@@ -18,7 +18,7 @@ from itertools import product
 
 from .complementation import complement_masks, complement_sets, dblplus_masks, plus_mask
 from .core import (Lattice, check_ids, format_element_set, is_complemented, is_modular,
-                   labelled, members, to_mask, to_set)
+                   labelled, meet_closed_mask, members, to_mask, to_set)
 from .report import CheckResult, PropertyReport, law
 from .setops import mask_join, mask_le, mask_le1, mask_le2, mask_meet
 
@@ -134,10 +134,6 @@ def check_implication_laws(lat: Lattice) -> PropertyReport:
     els, top, up, meet = lat.elements, 1 << lat.top, lat._up, lat._meet
     ab, abc = labelled(lat, "ab"), labelled(lat, "abc")
 
-    def meet_closed(m):
-        ids = members(m)
-        return all(m >> meet[x][y] & 1 for x in ids for y in ids)
-
     converse = next(((a, b) for a, b in product(els, els)
                      if it[a][b] == top and not up[a] >> b & 1), None)
     return PropertyReport("implication laws", (
@@ -160,7 +156,7 @@ def check_implication_laws(lat: Lattice) -> PropertyReport:
             asserted, abc),
         law("meet-closed a++ makes true consequents meet-stable",
             lambda a, b, c: it[a][c] != top or it[a][meet[b][c]] == top,
-            ((a, b, c) for a in els if meet_closed(dps[a])
+            ((a, b, c) for a in els if meet_closed_mask(lat, dps[a])
              for b in els if it[a][b] == top for c in els), asserted, abc),
         law("a++ within b++ and a->b = {1} force b->a = {1}",
             lambda a, b: it[b][a] == top,

@@ -428,6 +428,13 @@ def convex_mask(lat: Lattice, m: int) -> bool:
     return all(not up[a] & down[b] & ~m for a in ids for b in ids)
 
 
+def meet_closed_mask(lat: Lattice, m: int) -> bool:
+    """The meet of any two members of the subset mask m is one."""
+    meet = lat._meet
+    ids = members(m)
+    return all(m >> meet[x][y] & 1 for x in ids for y in ids)
+
+
 def is_antichain(lat: Lattice, s: frozenset) -> bool:
     return antichain_mask(lat, to_mask(lat, s))
 

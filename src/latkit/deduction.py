@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .complementation import complement_masks
 from .connectives import implies_masks, is_mn_shaped
 from .core import (Lattice, format_element_set, is_complemented, is_modular,
-                   members, subset_key, to_mask, to_set)
+                   meet_closed_mask, members, subset_key, to_mask, to_set)
 from .errors import InvalidParameter, SizeCapExceeded
 from .report import SKIPPED, CheckResult, PropertyReport, law
 from .setops import intersect_rows
@@ -111,14 +111,8 @@ def _is_order_filter(lat: Lattice, f: int) -> bool:
     return f != 0 and not any(up[x] & ~f for x in members(f))
 
 
-def _meet_closed(lat: Lattice, f: int) -> bool:
-    meet = lat._meet
-    ids = members(f)
-    return all(f >> meet[x][y] & 1 for x in ids for y in ids)
-
-
 def _filter_masks(lat: Lattice) -> list[int]:
-    return [f for f in _order_filter_masks(lat) if _meet_closed(lat, f)]
+    return [f for f in _order_filter_masks(lat) if meet_closed_mask(lat, f)]
 
 
 def order_filters(lat: Lattice) -> list[frozenset]:
@@ -131,7 +125,7 @@ def is_order_filter(lat: Lattice, f: frozenset) -> bool:
 
 
 def _is_filter(lat: Lattice, f: int) -> bool:
-    return _is_order_filter(lat, f) and _meet_closed(lat, f)
+    return _is_order_filter(lat, f) and meet_closed_mask(lat, f)
 
 
 def is_filter(lat: Lattice, f: frozenset) -> bool:
@@ -212,18 +206,12 @@ def ds_lattice_is_boolean_2n(lat: Lattice) -> bool:
         raise InvalidParameter("boolean structure check expects a diamond lattice")
     atoms = [x for x in lat.elements if x not in (lat.bottom, lat.top)]
     found = set(_deductive_family(lat, SUBSET_CAP)[0])
-    full = (1 << lat.n) - 1
-    every_atom = to_mask(lat, atoms)
-
-    images = {}
-    for r in range(len(atoms) + 1):
-        for c in itertools.combinations(atoms, r):
-            a = to_mask(lat, c)
-            images[a] = full if a == every_atom else a | 1 << lat.top
-    if set(images.values()) != found or len(found) != 1 << len(atoms):
-        return False
-    return all((not a & ~b) == (not images[a] & ~images[b])
-               for a in images for b in images)
+    # Every image is a | {1} or the carrier, so a within b exactly when
+    # image(a) within image(b): the order isomorphism needs only equal
+    # sets of 2^m images.
+    images = {(1 << lat.n) - 1 if r == len(atoms) else to_mask(lat, c) | 1 << lat.top
+              for r in range(len(atoms) + 1) for c in itertools.combinations(atoms, r)}
+    return images == found and len(found) == 1 << len(atoms)
 
 
 # -- relations ---------------------------------------------------------

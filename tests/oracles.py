@@ -29,10 +29,14 @@ def brute_plus(lat: Lattice, subset: frozenset) -> frozenset:
 def brute_galois_report(lat: Lattice, exhaustive_limit: int = 6,
                         sample_pairs: int = 10000, seed: int = 0,
                         table=None) -> PropertyReport:
-    """check_galois_laws on frozensets through brute_plus: the same subset
-    pairs (every pair, or the same seeded randint stream), scanned in the
-    same witness order. A given table of per-element complement sets
-    replaces the lattice's own complements."""
+    """The Galois laws of plus on frozensets, from definition scans. With
+    at most exhaustive_limit elements every pair of subsets is scanned.
+    Above that, up to 16 elements, every subset is scanned for the
+    single-set laws, and for the pair laws every pair of sets with at
+    most one element plus a seeded randint stream of pairs, in (A mask,
+    B mask) order. Witnesses are the first failing subset in (size, ids)
+    order and the first failing pair in scan order. A given table of
+    per-element complement sets replaces the lattice's own complements."""
     n = lat.n
     as_set = lambda m: frozenset(i for i in range(n) if m >> i & 1)
     if n <= exhaustive_limit:
@@ -40,24 +44,29 @@ def brute_galois_report(lat: Lattice, exhaustive_limit: int = 6,
         pairs = [(a, b) for a in subsets for b in subsets]
         mode = "exhaustive"
     else:
+        assert n <= 16, "the oracle scans every subset"
         rng = random.Random(seed)
         top = (1 << n) - 1
-        pairs = [(as_set(rng.randint(0, top)), as_set(rng.randint(0, top)))
-                 for _ in range(sample_pairs)]
-        mode = f"{sample_pairs} sampled pairs"
+        drawn = {(rng.randint(0, top), rng.randint(0, top)) for _ in range(sample_pairs)}
+        small = [0] + [1 << i for i in range(n)]
+        subsets = [frozenset(c) for k in range(n + 1)
+                   for c in itertools.combinations(range(n), k)]
+        pairs = [(as_set(a), as_set(b))
+                 for a, b in sorted(drawn | set(itertools.product(small, small)))]
+        mode = "exhaustive"
 
+    comp = ([brute_complements(lat, a) for a in lat.elements] if table is None
+            else [frozenset(s) for s in table])
     cache: dict[frozenset, frozenset] = {}
 
     def pl(s):
         if s not in cache:
-            cache[s] = (brute_plus(lat, s) if table is None else
-                        frozenset(lat.elements).intersection(*(table[a] for a in s)))
+            cache[s] = frozenset(lat.elements).intersection(*(comp[a] for a in s))
         return cache[s]
 
     fmt = lambda s: format_element_set(lat, s)
     wit = dict.fromkeys(("ext", "triple", "disj", "anti", "adj"))
-    singles = {a for a, _ in pairs} | {b for _, b in pairs}
-    for a in sorted(singles, key=lambda s: (len(s), sorted(s))):
+    for a in sorted(subsets, key=lambda s: (len(s), sorted(s))):
         p, dp = pl(a), pl(pl(a))
         for law, holds in (("ext", a <= dp), ("triple", pl(dp) == p),
                            ("disj", not p & dp)):

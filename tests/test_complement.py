@@ -209,9 +209,9 @@ def test_galois_laws_can_fail():
     rep = check_galois_laws(with_complement_table(n5, table))
     bad = rep.find("A contained in A++")
     assert not rep.ok and not bad.passed and bad.witness == "A=1"
-    # fig2 (sampled) with every element its own complement: A+ meets A++.
+    # fig2 with every element its own complement: A+ meets A++.
     fig2 = make_fig2()
     rep = check_galois_laws(with_complement_table(fig2, [fig2.elements] * fig2.n))
     bad = rep.find("A+ disjoint from A++")
-    assert rep.title == "galois laws (10000 sampled pairs)"
+    assert rep.title == "galois laws (exhaustive)"
     assert not bad.passed and bad.witness == "A=∅"

@@ -57,6 +57,16 @@ def test_diamond_family_boolean():
         assert ds_lattice_is_boolean_2n(lat)
 
 
+def test_boolean_check_fails_on_a_dropped_system():
+    # Each system of M:3 in turn is dropped from the memoised family.
+    for drop in range(8):
+        lat = make_Mn(3)
+        assert ds_lattice_is_boolean_2n(lat)
+        masks, dsl = lat._memo["deductive_systems"]
+        lat._memo["deductive_systems"] = (masks[:drop] + masks[drop + 1:], dsl)
+        assert not ds_lattice_is_boolean_2n(lat), drop
+
+
 def test_boolean_check_rejects_other_shapes(n5):
     with pytest.raises(InvalidParameter):
         ds_lattice_is_boolean_2n(n5)

@@ -1,13 +1,16 @@
-"""check_galois_laws decides the laws from the complement relation: a
-symmetric, irreflexive table passes without a search, and any other
-table falls back to the search. Both paths are compared with the
-frozenset oracle reading the same (corrupted) table."""
+"""check_galois_laws decides the laws exactly from the complement
+relation and the family of all A+, on every table at every size. Its
+reports are compared with the frozenset oracle reading the same
+(corrupted) table."""
 
 import random
+from itertools import permutations
 
 import pytest
 
+from latkit import complementation
 from latkit.complementation import check_galois_laws, complement_sets
+from latkit.core import format_element_set
 from latkit.corpus import default_corpus, enumerate_lattices, make_boolean, make_chain, make_fig2
 
 from .oracles import brute_galois_report
@@ -47,15 +50,17 @@ def test_corrupted_tables_match_oracle(lat, seed):
 
 
 def test_asymmetric_boolean_witness():
-    # B:4 with 0011 added to the complements of 0000 only: for
-    # A = {0000, 1100}, A+ = {0011} and A++ = {1100} loses 0000.
+    # B:4 with 0011 added to the complements of 0000 only: {0000}+ =
+    # {0011, 1111}, whose plus is empty, so {0000}++ loses 0000 and
+    # {0000}+++ is the carrier.
     b4 = make_boolean(4)
     table = [set(s) for s in complement_sets(b4)]
     table[b4.bottom].add(3)
     rep = check_galois_laws(with_complement_table(b4, table))
-    assert rep.title == "galois laws (10000 sampled pairs)"
-    assert [(r.name, r.witness) for r in rep.failures()] == \
-        [("A contained in A++", "A={0000,1100}")]
+    assert rep.title == "galois laws (exhaustive)"
+    assert [(r.name, r.witness) for r in rep.failures()] == [
+        ("A contained in A++", "A={0000}"), ("A+++ equals A+", "A={0000}"),
+        ("A within B+ iff B within A+", "A={0000} B={0011}")]
 
 
 def test_oracle_reads_given_table():
@@ -68,13 +73,44 @@ def test_oracle_reads_given_table():
     assert brute_galois_report(chain).ok
 
 
-def test_default_corpus_decided_without_sampling(monkeypatch):
-    corpus = default_corpus()
-
-    def no_sampling(*args, **kwargs):
-        raise AssertionError("check_galois_laws drew random samples")
-
-    monkeypatch.setattr("latkit.complementation.random.Random", no_sampling)
-    for entry in corpus:
+def test_default_corpus_decided_without_sampling():
+    assert not hasattr(complementation, "random")
+    for entry in default_corpus():
         rep = check_galois_laws(entry.lattice)
+        assert rep.title == "galois laws (exhaustive)", entry.lattice
         assert rep.ok and all(r.witness is None for r in rep.results), entry.lattice
+
+
+@pytest.mark.parametrize("lat", [make_boolean(4), make_fig2()], ids=str)
+def test_every_one_cell_flip_fails(lat):
+    """Flipping y in the complements of x makes the relation asymmetric
+    at (x, y) only: A within A++ fails at {x} when y was added and at {y}
+    when it was removed, and the pair law at the singletons of the lesser
+    and the greater of x and y."""
+    one = lambda x: format_element_set(lat, (x,))
+    for x, y in permutations(lat.elements, 2):
+        table = [set(s) for s in complement_sets(lat)]
+        table[x] ^= {y}
+        rep = check_galois_laws(with_complement_table(lat, table))
+        lo, hi = sorted((x, y))
+        assert rep.find("A contained in A++").witness == \
+            f"A={one(x if y in table[x] else y)}", (x, y)
+        assert rep.find("A within B+ iff B within A+").witness == \
+            f"A={one(lo)} B={one(hi)}", (x, y)
+
+
+def test_arbitrary_tables_match_oracle():
+    """Tables with every cell drawn at random, at four densities, on
+    every lattice with 2 to 6 elements: the reports equal the exhaustive
+    oracle's, and every law that can fail does so somewhere."""
+    rng = random.Random(0)
+    failed = set()
+    for lat in (lat for n in range(2, 7) for lat in enumerate_lattices(n)):
+        for density in (0.1, 0.3, 0.5, 0.8):
+            table = [{y for y in lat.elements if rng.random() < density}
+                     for _ in lat.elements]
+            rep = check_galois_laws(with_complement_table(lat, table))
+            assert rep == brute_galois_report(lat, table=table), (lat, table)
+            failed |= {r.name for r in rep.failures()}
+    assert failed == {"A contained in A++", "A+++ equals A+", "A+ disjoint from A++",
+                      "A within B+ iff B within A+"}

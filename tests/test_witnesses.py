@@ -11,7 +11,7 @@ from latkit.corpus import make_fig2, make_N5
 from latkit.deduction import (check_filters_vs_deductive_systems,
                               check_substitution_equivalences)
 
-VERIFY_JSON_SHA256 = "b5ed3e793bb9f4ae481f619b18f19ff2b30567f85ac1383f16bbb2f086226a23"
+VERIFY_JSON_SHA256 = "d4d759b2b5a2062003525a51750e2e859a4c91bd6bc2faa598cd4b1b2f16093a"
 
 
 def test_verify_json_digest(capsys):
