@@ -549,27 +549,45 @@ def canonical_form(up, down):
     """Canonical form of the order given by up- and down-set masks (each
     element in its own up- and down-set): the minimal order-matrix bit
     string over all permutations compatible with the colour classes.
-    Equal forms mean isomorphic orders."""
+    Equal forms mean isomorphic orders.
+
+    The search places one element per position. Two elements are twins
+    when they are incomparable and have equal up- and down-sets once both
+    are removed; swapping them is then an automorphism (so they share a
+    colour) that fixes every other element. A position therefore tries no
+    element that has an unplaced twin of lower id: that twin's branch
+    yields the same strings. This keeps the form and makes the search
+    linear in a class of interchangeable elements (the atoms of M:n)
+    instead of factorial. Classes without twins, as in B:5, still branch
+    on every member."""
     n = len(up)
     color = _wl_colors(up, down)
     posrank = sorted(color)
     byrank: dict[int, list[int]] = {}
     for i, c in enumerate(color):
         byrank.setdefault(c, []).append(i)
+    lower_twins = [0] * n
+    for j in range(n):
+        for i in range(j):
+            both = 1 << i | 1 << j
+            if not (up[i] >> j & 1 or up[j] >> i & 1) \
+                    and up[i] & ~both == up[j] & ~both \
+                    and down[i] & ~both == down[j] & ~both:
+                lower_twins[j] |= 1 << i
 
     best: list[int] | None = None
     cur: list[int] = []
     placed: list[int] = []
-    used = [False] * n
+    free = (1 << n) - 1
 
     def dfs(p: int):
-        nonlocal best
+        nonlocal best, free
         if p == n:
             if best is None or cur < best:
                 best = list(cur)
             return
         for e in byrank[posrank[p]]:
-            if used[e]:
+            if not free >> e & 1 or lower_twins[e] & free:
                 continue
             tok = 0
             for q in placed:
@@ -577,11 +595,11 @@ def canonical_form(up, down):
                 tok = tok << 1 | (up[e] >> q & 1)
             cur.append(tok)
             if best is None or cur <= best[:p + 1]:
-                used[e] = True
+                free ^= 1 << e
                 placed.append(e)
                 dfs(p + 1)
                 placed.pop()
-                used[e] = False
+                free ^= 1 << e
             cur.pop()
 
     dfs(0)

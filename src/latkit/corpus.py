@@ -4,11 +4,16 @@ The enumerator produces every bounded lattice on n elements up to
 isomorphism. It walks naturally labeled posets (element ids respect the
 order) by choosing each element's strict down-set, pruning branches
 where some pair has no meet; a finite poset with a top in which all
-binary meets exist is a lattice. Each complete candidate's canonical form
-is computed straight from its down- and up-set masks, so a duplicate
-isomorph is rejected before any Lattice is built: only the first member
-of each isomorphism class becomes a Lattice, with that form stored as its
-canonical key.
+binary meets exist is a lattice. It also prunes a labelling whose newest
+element could move to an earlier position that the walk fills first,
+since every completion then has an isomorph the walk reaches earlier
+(the pruning half of McKay's orderly generation). Each complete
+candidate's canonical form is computed straight from its down- and
+up-set masks, so a duplicate isomorph is rejected before any Lattice is
+built: only the first member of each isomorphism class in walk order
+becomes a Lattice, with that form stored as its canonical key. The
+pruning removes only candidates that are never first, so the output is
+the same as without it.
 """
 
 from __future__ import annotations
@@ -200,9 +205,22 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
             grow(0, base)
         for m in choices:
             downs[k] = m
-            if all(m >> j & 1 or meet_exists(j, k) for j in range(k)):
+            if all(m >> j & 1 or meet_exists(j, k) for j in range(k)) \
+                    and not reached_earlier(k, m):
                 place(k + 1)
         downs[k] = 0
+
+    def reached_earlier(k: int, m: int) -> bool:
+        # With no bit of m in j..k-1, k is incomparable to all of j..k-1, so
+        # moving it to position j gives another natural labelling of every
+        # completion. grow yields m before downs[j] when m holds the lowest
+        # differing bit, so the walk meets that isomorph first. Positions
+        # j >= m.bit_length() are exactly those with no bit of m in j..k-1.
+        for j in range(m.bit_length(), k):
+            d = m ^ downs[j]
+            if m & d & -d:
+                return True
+        return False
 
     place(1)
 

@@ -1,21 +1,30 @@
 """Meet/join tables from the linear extension, the enumerator's canonical
-keys, id checks of the deduction predicates, and the class count in the
-substitution-equivalence witness."""
+keys and its output against an unpruned walk, canonical keys under
+relabelling, id checks of the deduction predicates, and the class count
+in the substitution-equivalence witness."""
 
+import hashlib
 import random
 
 import pytest
 
+from latkit import corpus
 from latkit.complementation import complement_sets
 from latkit.connectives import implies_table
 from latkit.core import Lattice, canonical_key, is_complemented
-from latkit.corpus import enumerate_lattices, make_N5
+from latkit.corpus import (direct_product, enumerate_lattices, make_boolean, make_chain,
+                           make_fig2, make_Mn, make_N5)
 from latkit.deduction import (check_substitution_equivalences, is_deductive_system,
                               is_filter, is_order_filter)
 from latkit.errors import InvalidParameter, NotALattice
 
 from .oracles import (bounded_posets, brute_covers, brute_join, brute_meet,
-                      first_missing_bound, relabel)
+                      first_lattice_per_class, first_missing_bound, relabel)
+
+# sha256 over one line per lattice, repr((labels, up masks)), in output order,
+# of enumerate_lattices(n) for n = 2..9, as recorded before candidates that
+# can never be first of their class were pruned.
+ENUMERATION_SHA256 = "447dad228862907f13a5ad263516a8d3610800c79ca73a70d334fbaff5d7f880"
 
 
 def shuffled(lat: Lattice, rng: random.Random) -> Lattice:
@@ -94,6 +103,59 @@ def test_enumerate_eight_elements():
             for lat in lats}
     assert len(lats) == 222 and len(keys) == 222
     assert sum(is_complemented(lat) for lat in lats) == 71
+
+
+@pytest.fixture(scope="module")
+def nine():
+    return enumerate_lattices(9, cap=9)
+
+
+def test_enumeration_digest_pinned(nine):
+    digest = hashlib.sha256()
+    for n in range(2, 10):
+        for lat in nine if n == 9 else enumerate_lattices(n, cap=9):
+            row = repr((tuple(lat.labels), tuple(lat.up_mask(i) for i in lat.elements)))
+            digest.update(row.encode() + b"\n")
+    assert digest.hexdigest() == ENUMERATION_SHA256
+
+
+def test_enumerate_nine_elements(nine):
+    """OEIS A006966: 1,078 lattices on 9 elements, 307 of them complemented."""
+    keys = {canonical_key(Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements]))
+            for lat in nine}
+    assert len(nine) == 1078 and len(keys) == 1078
+    assert sum(is_complemented(lat) for lat in nine) == 307
+
+
+def test_enumeration_equals_first_of_each_class_in_unpruned_walk():
+    for n in range(1, 8):
+        got = [[lat.up_mask(i) for i in lat.elements] for lat in enumerate_lattices(n)]
+        assert got == first_lattice_per_class(n), n
+
+
+def test_pruned_labellings_never_reach_canonical_form(monkeypatch):
+    """The walk computes a canonical form for fewer than a quarter of the
+    4,007 lattice labellings on 2 to 8 elements."""
+    calls = []
+    real = corpus.canonical_form
+    monkeypatch.setattr(corpus, "canonical_form",
+                        lambda up, down: calls.append(len(up)) or real(up, down))
+    assert sum(len(enumerate_lattices(n, cap=8)) for n in range(2, 9)) == 299
+    assert len(calls) <= 1000
+
+
+def test_canonical_key_invariant_under_relabelling():
+    """Twins (the atoms of M:n) are searched once; comparable elements that
+    agree on every other element, as in a chain, are not twins."""
+    rng = random.Random(3)
+    lats = [make_Mn(10), make_Mn(3), make_fig2(), make_boolean(3), make_N5(),
+            direct_product(make_Mn(3), make_chain(2))]
+    lats += [make_chain(k) for k in range(2, 10)]
+    for lat in lats:
+        key = canonical_key(lat)
+        for _ in range(4):
+            assert canonical_key(shuffled(lat, rng)) == key, lat
+    assert len({canonical_key(lat) for lat in lats}) == len(lats)
 
 
 @pytest.mark.parametrize("bad", [-1, 5])
