@@ -11,12 +11,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 from .complementation import satisfies_dblplus_identity
 from .connectives import is_mn_shaped
-from .core import (Lattice, is_complemented, is_distributive, is_modular,
-                   load_lattice_file)
+from .core import (ELEMENT_CAP, Lattice, _positions_above_below, _upper_covers,
+                   is_complemented, is_distributive, is_modular,
+                   load_lattice_file, members)
 from .corpus import (ENUM_CAP, default_corpus, entry_for, enumerate_lattices,
                      named_lattice)
 from .deduction import (PARTITION_CAP, SUBSET_CAP, all_deductive_systems,
@@ -25,25 +25,6 @@ from .errors import InvalidParameter, LatticeError
 from .render import render_op_table, render_plus_table, to_dot
 from .report import SKIPPED, PropertyReport
 from .suite import corpus_suite, lattice_suite
-
-
-@dataclass
-class RunConfig:
-    command: str
-    lattice: str | None = None
-    file: str | None = None
-    corpus: int | None = None
-    op: str = "implies"
-    fmt: str = "text"
-    output: str | None = None
-    max_subsets: int = SUBSET_CAP
-    max_partitions: int = PARTITION_CAP
-    max_elements: int = 64
-    seed: int = 0
-    lattice_of: bool = False
-
-    def sources(self) -> int:
-        return sum(x is not None for x in (self.lattice, self.file, self.corpus))
 
 
 def _add_source(sub, required: bool = True):
@@ -88,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="largest lattice for deductive-system enumeration")
     p.add_argument("--max-partitions", type=int, default=PARTITION_CAP,
                    help="largest lattice for congruence enumeration")
-    p.add_argument("--max-elements", type=int, default=64,
+    p.add_argument("--max-elements", type=int, default=ELEMENT_CAP,
                    help="reject lattices larger than this")
     p.add_argument("--seed", type=int, default=0,
                    help="seed of the sampled substitution equivalences "
@@ -105,37 +86,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("-o", "--output", metavar="PATH")
 
+    # Values the commands read that some subcommands have no option for.
+    parser.set_defaults(max_subsets=SUBSET_CAP, max_elements=ELEMENT_CAP)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    for field in ("lattice", "file", "corpus", "op", "fmt", "output",
-                  "max_subsets", "max_partitions", "max_elements", "seed",
-                  "lattice_of"):
-        if hasattr(args, field):
-            setattr(cfg, field, getattr(args, field))
-    return cfg
-
-
-def load_source(cfg: RunConfig) -> Lattice:
-    if cfg.lattice is not None:
-        lat = named_lattice(cfg.lattice)
-    elif cfg.file is not None:
-        lat = load_lattice_file(cfg.file)
+def load_source(args: argparse.Namespace) -> Lattice:
+    if args.lattice is not None:
+        lat = named_lattice(args.lattice)
+    elif args.file is not None:
+        lat = load_lattice_file(args.file)
     else:
         raise InvalidParameter("no lattice source given")
-    if lat.n > cfg.max_elements:
+    if lat.n > args.max_elements:
         raise InvalidParameter(
-            f"lattice has {lat.n} elements, over the cap {cfg.max_elements}")
+            f"lattice has {lat.n} elements, over the cap {args.max_elements}")
     return lat
 
 
-def _emit(cfg: RunConfig, text: str) -> None:
+def _emit(args: argparse.Namespace, text: str) -> None:
     if not text.endswith("\n"):
         text += "\n"
-    if cfg.output:
-        with open(cfg.output, "w", encoding="utf-8") as fh:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -151,8 +124,8 @@ def _braced(lat: Lattice, s: frozenset) -> str:
 
 # -- subcommands -------------------------------------------------------
 
-def cmd_info(cfg: RunConfig) -> int:
-    lat = load_source(cfg)
+def cmd_info(args: argparse.Namespace) -> int:
+    lat = load_source(args)
     tags = []
     tags.append("complemented" if is_complemented(lat) else "not complemented")
     tags.append("modular" if is_modular(lat) else "non-modular")
@@ -160,9 +133,9 @@ def cmd_info(cfg: RunConfig) -> int:
     identity = satisfies_dblplus_identity(lat)
     if identity:
         tags.append("x⁺⁺≈x")
-    name = lat.name or (cfg.file or "lattice")
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
+    name = lat.name or (args.file or "lattice")
+    if args.fmt == "json":
+        _emit(args, json.dumps({
             "name": name, "elements": lat.n,
             "bottom": lat.label(lat.bottom), "top": lat.label(lat.top),
             "covers": len(lat.covers()),
@@ -173,65 +146,65 @@ def cmd_info(cfg: RunConfig) -> int:
         lines = [f"lattice {name}: {lat.n} elements, {len(lat.covers())} cover pairs",
                  f"bottom {lat.label(lat.bottom)}, top {lat.label(lat.top)}",
                  "tags: " + ", ".join(tags)]
-        _emit(cfg, "\n".join(lines))
+        _emit(args, "\n".join(lines))
     return 0
 
 
-def cmd_plus_table(cfg: RunConfig) -> int:
+def cmd_plus_table(args: argparse.Namespace) -> int:
     from .complementation import double_plus, plus
-    lat = load_source(cfg)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
+    lat = load_source(args)
+    if args.fmt == "json":
+        _emit(args, json.dumps({
             "elements": [lat.label(x) for x in lat.elements],
             "plus": [_set_labels(lat, plus(lat, frozenset((x,)))) for x in lat.elements],
             "dblplus": [_set_labels(lat, double_plus(lat, frozenset((x,))))
                         for x in lat.elements],
         }, ensure_ascii=False, indent=2))
     else:
-        _emit(cfg, render_plus_table(lat))
+        _emit(args, render_plus_table(lat))
     return 0
 
 
-def cmd_op_table(cfg: RunConfig) -> int:
-    lat = load_source(cfg)
-    if cfg.fmt == "json":
+def cmd_op_table(args: argparse.Namespace) -> int:
+    lat = load_source(args)
+    if args.fmt == "json":
         from .connectives import op_table
-        table = op_table(lat, cfg.op)
-        _emit(cfg, json.dumps({
-            "op": cfg.op,
+        table = op_table(lat, args.op)
+        _emit(args, json.dumps({
+            "op": args.op,
             "elements": [lat.label(x) for x in lat.elements],
             "cells": [[_set_labels(lat, cell) for cell in row]
                       for row in table.entries],
         }, ensure_ascii=False, indent=2))
     else:
-        _emit(cfg, render_op_table(lat, cfg.op))
+        _emit(args, render_op_table(lat, args.op))
     return 0
 
 
-def _verify_results(cfg: RunConfig):
+def _verify_results(args: argparse.Namespace):
     # A cap below one turns every capped check into a passing skip.
-    for flag, cap in (("--max-subsets", cfg.max_subsets),
-                      ("--max-partitions", cfg.max_partitions)):
+    for flag, cap in (("--max-subsets", args.max_subsets),
+                      ("--max-partitions", args.max_partitions)):
         if cap < 1:
             raise InvalidParameter(f"{flag} must be positive, got {cap}")
-    if cfg.corpus is not None:
-        if cfg.corpus > ENUM_CAP:
+    if args.corpus is not None:
+        if args.corpus > ENUM_CAP:
             raise InvalidParameter(
-                f"corpus sweep capped at {ENUM_CAP} elements, got {cfg.corpus}")
+                f"corpus sweep capped at {ENUM_CAP} elements, got {args.corpus}")
         entries = []
-        for n in range(2, cfg.corpus + 1):
+        for n in range(2, args.corpus + 1):
             for i, lat in enumerate(enumerate_lattices(n, frozenset(("complemented",)))):
                 entries.append(entry_for(f"enum{n}.{i}", lat))
         if not entries:
             raise InvalidParameter(
-                f"no complemented lattice has at most {cfg.corpus} elements")
-        return corpus_suite(entries, cfg.max_subsets, cfg.max_partitions, cfg.seed)
-    if cfg.lattice is None and cfg.file is None:
-        return corpus_suite(default_corpus(), cfg.max_subsets,
-                            cfg.max_partitions, cfg.seed)
-    lat = load_source(cfg)
-    name = lat.name or (cfg.file or "lattice")
-    return [(name, lattice_suite(lat, cfg.max_subsets, cfg.max_partitions, cfg.seed))]
+                f"no complemented lattice has at most {args.corpus} elements")
+        return corpus_suite(entries, args.max_subsets, args.max_partitions, args.seed)
+    if args.lattice is None and args.file is None:
+        return corpus_suite(default_corpus(), args.max_subsets,
+                            args.max_partitions, args.seed)
+    lat = load_source(args)
+    name = lat.name or (args.file or "lattice")
+    return [(name, lattice_suite(lat, args.max_subsets, args.max_partitions, args.seed))]
 
 
 def _verify_text(results) -> tuple[str, bool]:
@@ -265,30 +238,30 @@ def _report_json(reports: list[PropertyReport]):
     } for r in reports]
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    results = _verify_results(cfg)
+def cmd_verify(args: argparse.Namespace) -> int:
+    results = _verify_results(args)
     ok = all(r.ok for _, reports in results for r in reports)
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
+    if args.fmt == "json":
+        _emit(args, json.dumps({
             "ok": ok,
             "lattices": [{"name": name, "reports": _report_json(reports)}
                          for name, reports in results],
         }, ensure_ascii=False, indent=2))
     else:
         text, _ = _verify_text(results)
-        _emit(cfg, text)
+        _emit(args, text)
     return 0 if ok else 1
 
 
-def cmd_deductive_systems(cfg: RunConfig) -> int:
-    lat = load_source(cfg)
-    dsl = all_deductive_systems(lat, cfg.max_subsets)
+def cmd_deductive_systems(args: argparse.Namespace) -> int:
+    lat = load_source(args)
+    dsl = all_deductive_systems(lat, args.max_subsets)
     compat = [is_compatible_ds(lat, d) for d in dsl.systems]
     boolean = ds_lattice_is_boolean_2n(lat) if is_mn_shaped(lat) else None
 
-    if cfg.fmt == "json":
-        _emit(cfg, json.dumps({
-            "lattice": lat.name or (cfg.file or "lattice"),
+    if args.fmt == "json":
+        _emit(args, json.dumps({
+            "lattice": lat.name or (args.file or "lattice"),
             "systems": [{"elements": _set_labels(lat, d), "compatible": c}
                         for d, c in zip(dsl.systems, compat)],
             "boolean_2n": boolean,
@@ -300,24 +273,21 @@ def cmd_deductive_systems(cfg: RunConfig) -> int:
     for i, (d, c) in enumerate(zip(dsl.systems, compat)):
         mark = "  (compatible)" if c else ""
         lines.append(f"  S{i} = {_braced(lat, d)}{mark}")
-    if cfg.lattice_of:
-        edges = []
-        for i, a in enumerate(dsl.systems):
-            for j, b in enumerate(dsl.systems):
-                if i != j and a < b and not any(
-                        a < dsl.systems[k] < b for k in range(len(dsl.systems))):
-                    edges.append(f"S{i} < S{j}")
+    if args.lattice_of:
+        above, _ = _positions_above_below(dsl._masks)
+        edges = [f"S{i} < S{j}" for i, m in enumerate(_upper_covers(above))
+                 for j in members(m)]
         lines.append("inclusion covers: " + ("; ".join(edges) if edges else "none"))
     if boolean is not None:
         atoms = lat.n - 2
         lines.append(f"boolean with {atoms} atoms: {'yes' if boolean else 'NO'}")
-    _emit(cfg, "\n".join(lines))
+    _emit(args, "\n".join(lines))
     return 0
 
 
-def cmd_export_dot(cfg: RunConfig) -> int:
-    lat = load_source(cfg)
-    _emit(cfg, to_dot(lat))
+def cmd_export_dot(args: argparse.Namespace) -> int:
+    lat = load_source(args)
+    _emit(args, to_dot(lat))
     return 0
 
 
@@ -333,12 +303,11 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    # Each subcommand but verify requires exactly one of --lattice and
+    # --file, which argparse enforces.
     args = parser.parse_args(argv)
-    cfg = config_from_args(args)
-    if cfg.command != "verify" and cfg.sources() != 1:
-        parser.error("exactly one lattice source required")
     try:
-        return COMMANDS[cfg.command](cfg)
+        return COMMANDS[args.command](args)
     except (LatticeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -22,6 +22,7 @@ from itertools import combinations, product
 
 from .core import (
     Lattice,
+    _positions_above_below,
     antichain_mask,
     check_ids,
     convex_mask,
@@ -153,28 +154,6 @@ class ClosureReport:
     violations: tuple[str, ...]
 
 
-def _positions_above_below(masks: tuple[int, ...], n: int):
-    """For each family member p, the bitsets over family positions of the
-    members containing it and of the members it contains, built from the
-    bitset of positions holding each element: O(k n) for k members."""
-    holds = [0] * n
-    for p, m in enumerate(masks):
-        for x in members(m):
-            holds[x] |= 1 << p
-    every = (1 << len(masks)) - 1
-    above, below = [], []
-    for m in masks:
-        up, out = every, 0
-        for x in range(n):
-            if m >> x & 1:
-                up &= holds[x]
-            else:
-                out |= holds[x]
-        above.append(up)
-        below.append(every & ~out)
-    return above, below
-
-
 def closure_lattice(lat: Lattice) -> ClosureReport:
     masks = closed_masks(lat)
     index = {s: i for i, s in enumerate(masks)}
@@ -232,7 +211,7 @@ def closure_lattice(lat: Lattice) -> ClosureReport:
     # their join, or lies in both but not in their meet; at one position
     # the join is reported first. A table entry of -1 stands for the last
     # member.
-    above, below = _positions_above_below(masks, lat.n)
+    above, below = _positions_above_below(masks)
     for i, s in enumerate(masks):
         for j, t in enumerate(masks):
             bad_join = above[i] & above[j] & ~above[join[i][j]]

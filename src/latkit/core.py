@@ -28,13 +28,6 @@ from .report import CheckResult, PropertyReport, law
 ELEMENT_CAP = 64
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 # Member ids of every byte value, so members() of a mask below 256 is
 # one tuple lookup.
 _BYTE_IDS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
@@ -65,10 +58,34 @@ def _upper_covers(up) -> list[int]:
     for i, m in enumerate(up):
         strict = m ^ (1 << i)
         above = 0
-        for j in _bits(strict):
+        for j in members(strict):
             above |= up[j] ^ (1 << j)
         covers.append(strict & ~above)
     return covers
+
+
+def _positions_above_below(masks):
+    """For each family member p, the bitsets over family positions of the
+    members containing it and of the members it contains, built from the
+    bitset of positions holding each element: O(k n) for k members over
+    n elements, n being the highest member bit plus one."""
+    n = max(masks, default=0).bit_length()
+    holds = [0] * n
+    for p, m in enumerate(masks):
+        for x in members(m):
+            holds[x] |= 1 << p
+    every = (1 << len(masks)) - 1
+    above, below = [], []
+    for m in masks:
+        up, out = every, 0
+        for x in range(n):
+            if m >> x & 1:
+                up &= holds[x]
+            else:
+                out |= holds[x]
+        above.append(up)
+        below.append(every & ~out)
+    return above, below
 
 
 class Lattice:
@@ -104,7 +121,7 @@ class Lattice:
         down = [0] * n
         for i in range(n):
             m = up[i]
-            for j in _bits(m):
+            for j in members(m):
                 if j != i and up[j] >> i & 1:
                     raise InvalidParameter("order is not antisymmetric")
                 if up[j] & ~m:
@@ -132,7 +149,7 @@ class Lattice:
         pdown = [0] * n
         pup = [0] * n
         for i in range(n):
-            for j in _bits(up[i]):
+            for j in members(up[i]):
                 pup[i] |= 1 << pos[j]
                 pdown[j] |= 1 << pos[i]
         # Row a starts as all a, which leaves meet(a, a) = join(a, a) = a.
@@ -167,7 +184,7 @@ class Lattice:
         self._down = down
         self._meet = tuple(tuple(r) for r in meet)
         self._join = tuple(tuple(r) for r in join)
-        self._covers = tuple((i, j) for i in range(n) for j in _bits(cov_up[i]))
+        self._covers = tuple((i, j) for i in range(n) for j in members(cov_up[i]))
         self._memo = {}
 
     # -- construction ------------------------------------------------
@@ -257,10 +274,10 @@ class Lattice:
         return self._covers
 
     def up_set(self, a: int) -> frozenset:
-        return frozenset(_bits(self._up[a]))
+        return to_set(self._up[a])
 
     def down_set(self, a: int) -> frozenset:
-        return frozenset(_bits(self._down[a]))
+        return to_set(self._down[a])
 
     def up_mask(self, a: int) -> int:
         return self._up[a]
@@ -386,7 +403,7 @@ def is_modular(lat: Lattice) -> bool:
     """a <= b implies a v (x ^ b) == (a v x) ^ b for all x."""
     def compute():
         for a in lat.elements:
-            for b in _bits(lat._up[a]):
+            for b in members(lat._up[a]):
                 for x in lat.elements:
                     if lat._join[a][lat._meet[x][b]] != lat._meet[lat._join[a][x]][b]:
                         return False
@@ -510,27 +527,22 @@ def check_lattice_axioms(lat: Lattice) -> PropertyReport:
 
 def _wl_colors(up, down) -> list[int]:
     """Order-invariant element colouring of the order given by up- and
-    down-set masks: degree/height start, refined by cover-neighbour
-    colour multisets until stable."""
+    down-set masks: down- and up-set sizes, refined by the colour
+    multisets of lower and upper covers until stable, which gives the
+    coarsest equitable partition finer than the start (McKay and Piperno,
+    "Practical graph isomorphism, II", 2014). Both cover counts are
+    constant on each stable class, and so are height and depth, by
+    induction on height (dually depth): an element's height follows from
+    its lower covers' colours. Starting from them too would give the same
+    classes."""
     n = len(up)
-    cov_up = [list(_bits(m)) for m in _upper_covers(up)]
+    cov_up = [members(m) for m in _upper_covers(up)]
     cov_dn = [[] for _ in range(n)]
     for i in range(n):
         for j in cov_up[i]:
             cov_dn[j].append(i)
 
-    downsize = [m.bit_count() for m in down]
-    topo = sorted(range(n), key=downsize.__getitem__)
-    height = [0] * n
-    for i in topo:
-        height[i] = max((height[j] + 1 for j in cov_dn[i]), default=0)
-    depth = [0] * n
-    for i in reversed(topo):
-        depth[i] = max((depth[j] + 1 for j in cov_up[i]), default=0)
-
-    keys = [(downsize[i], up[i].bit_count(), len(cov_dn[i]), len(cov_up[i]),
-             height[i], depth[i])
-            for i in range(n)]
+    keys = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
     ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
     color = [ranks[k] for k in keys]
     while True:
@@ -548,8 +560,10 @@ def _wl_colors(up, down) -> list[int]:
 def canonical_form(up, down):
     """Canonical form of the order given by up- and down-set masks (each
     element in its own up- and down-set): the minimal order-matrix bit
-    string over all permutations compatible with the colour classes.
-    Equal forms mean isomorphic orders.
+    string over all permutations compatible with the colour classes of
+    _wl_colors, positions filled class by class in colour order. Equal
+    forms mean isomorphic orders; the form's values are not stable across
+    changes to the colouring and are never printed.
 
     The search places one element per position. Two elements are twins
     when they are incomparable and have equal up- and down-sets once both

@@ -21,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complementation import satisfies_dblplus_identity
-from .core import (ELEMENT_CAP, Lattice, _bits, canonical_form, is_complemented,
-                   is_distributive, is_isomorphic, is_modular)
+from .core import (ELEMENT_CAP, Lattice, canonical_form, is_complemented,
+                   is_distributive, is_isomorphic, is_modular, members)
 from .errors import InvalidParameter, SizeCapExceeded
 
 ENUM_CAP = 7
@@ -128,8 +128,8 @@ def direct_product(l1: Lattice, l2: Lattice) -> Lattice:
     for i in l1.elements:
         for j in l2.elements:
             m = 0
-            for x in _bits(l1.up_mask(i)):
-                for y in _bits(l2.up_mask(j)):
+            for x in members(l1.up_mask(i)):
+                for y in members(l2.up_mask(j)):
                     m |= 1 << (x * n2 + y)
             ups.append(m)
     name = f"({l1.name or '?'})x({l2.name or '?'})"
@@ -177,7 +177,7 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
             down = [m | 1 << i for i, m in enumerate(downs)]
             up = [1 << i for i in range(n)]
             for j in range(1, n):
-                for i in _bits(downs[j]):
+                for i in members(downs[j]):
                     up[i] |= 1 << j
             key = canonical_form(up, down)
             if key not in seen:

@@ -24,8 +24,9 @@ from dataclasses import dataclass
 
 from .complementation import complement_masks
 from .connectives import implies_masks, is_mn_shaped
-from .core import (Lattice, format_element_set, is_complemented, is_modular,
-                   meet_closed_mask, members, subset_key, to_mask, to_set)
+from .core import (Lattice, _positions_above_below, format_element_set,
+                   is_complemented, is_modular, meet_closed_mask, members,
+                   subset_key, to_mask, to_set)
 from .errors import InvalidParameter, SizeCapExceeded
 from .report import SKIPPED, CheckResult, PropertyReport, law
 from .setops import intersect_rows
@@ -146,9 +147,6 @@ class DSLattice:
     bottom_index: int
     top_index: int
 
-    def index(self, d: frozenset) -> int:
-        return self.systems.index(d)
-
     @functools.cached_property
     def _masks(self) -> tuple[int, ...]:
         return tuple(sum(1 << x for x in s) for s in self.systems)
@@ -168,9 +166,7 @@ class DSLattice:
         # containing[p]: positions of the systems that contain system p.
         # The family is intersection closed, so the join of two systems
         # is the first, and smallest, position containing both.
-        systems = self._masks
-        containing = [sum(1 << q for q, c in enumerate(systems) if not s & ~c)
-                      for s in systems]
+        containing, _ = _positions_above_below(self._masks)
         return tuple(tuple(((both := ci & cj) & -both).bit_length() - 1 for cj in containing)
                      for ci in containing)
 
@@ -283,57 +279,33 @@ def _pair_key(rows: Rows):
 
 
 def _meet_congruence_rows(lat: Lattice, cap: int) -> list[Rows]:
-    """All meet-compatible equivalences, by a depth-first refinement of
-    partitions: elements are placed in a meet-friendly order so violated
+    """All meet-compatible equivalences, by the partition walk pruned
+    with ok_with: elements are placed in a meet-friendly order so violated
     constraints are final and prune the branch immediately."""
     if lat.n > cap:
         raise SizeCapExceeded(
             f"congruence enumeration needs at most {cap} elements, got {lat.n}")
     # Process in an order where the meet of two placed elements is placed.
     order = sorted(lat.elements, key=lambda i: (lat._down[i].bit_count(), i))
-    n = lat.n
     meet = lat._meet
-    blocks: list[list[int]] = []
-    bid: dict[int, int] = {}
-    out: list[Rows] = []
 
-    def ok_with(e: int) -> bool:
-        be = bid[e]
-        placed = list(bid)
-        for m in blocks[be]:
-            if m == e:
-                continue
-            for c in placed:
-                if bid[meet[e][c]] != bid[meet[m][c]]:
-                    return False
-        for blk in blocks:
-            for i, a in enumerate(blk):
-                for b in blk[i + 1:]:
-                    if bid[meet[a][e]] != bid[meet[b][e]]:
+    def ok_with(blocks, bid, e: int) -> bool:
+        # For each m in e's block, e ^ c and m ^ c share a block for every
+        # placed c. A pair a, b placed before e needs no check against e:
+        # u = a ^ e lies below a and v = b ^ e below b, so both were placed
+        # when the later of a and b was, and its checks with c = u and
+        # c = v put u, a ^ b ^ e and v in one block.
+        me = meet[e]
+        for m in blocks[bid[e]]:
+            if m != e:
+                mm = meet[m]
+                for c in bid:
+                    if bid[me[c]] != bid[mm[c]]:
                         return False
         return True
 
-    def walk(k: int):
-        if k == n:
-            out.append(_block_rows(n, blocks))
-            return
-        e = order[k]
-        for i in range(len(blocks)):
-            blocks[i].append(e)
-            bid[e] = i
-            if ok_with(e):
-                walk(k + 1)
-            blocks[i].pop()
-            del bid[e]
-        blocks.append([e])
-        bid[e] = len(blocks) - 1
-        if ok_with(e):
-            walk(k + 1)
-        blocks.pop()
-        del bid[e]
-
-    walk(0)
-    return sorted(out, key=_pair_key)
+    return sorted((_block_rows(lat.n, p) for p in _partitions(order, ok_with)),
+                  key=_pair_key)
 
 
 def all_meet_congruences(lat: Lattice, cap: int = PARTITION_CAP) -> list[Relation]:
@@ -437,57 +409,67 @@ def compatible_systems(lat: Lattice, cap: int = SUBSET_CAP) -> list[frozenset]:
 
 
 # -- partitions and sampling -------------------------------------------
+#
+# _partitions is the one partition walk: all_partitions lists every
+# partition, and the meet-congruence search prunes the same walk with its
+# fits test. Each id in turn joins every open block, oldest first, then a
+# new block of its own; check_substitution_equivalences takes its witness
+# in that order.
 
-def all_partitions(n: int):
-    """Every partition of range(n), as tuples of blocks."""
-    def rec(k: int, blocks: list[list[int]]):
-        if k == n:
-            yield tuple(tuple(b) for b in blocks)
+def _partitions(order, fits=None) -> list[tuple[tuple[int, ...], ...]]:
+    """Every partition of the ids in order, as tuples of blocks, in walk
+    order. fits(blocks, bid, e) is asked after each placement of e, with
+    bid mapping every placed id to its block index; a false answer prunes
+    the branch."""
+    blocks: list[list[int]] = []
+    bid: dict[int, int] = {}
+    out = []
+
+    def walk(k: int):
+        if k == len(order):
+            out.append(tuple(map(tuple, blocks)))
             return
-        for b in blocks:
-            b.append(k)
-            yield from rec(k + 1, blocks)
-            b.pop()
-        blocks.append([k])
-        yield from rec(k + 1, blocks)
+        e = order[k]
+        for i in range(len(blocks) + 1):
+            if i == len(blocks):
+                blocks.append([])
+            blocks[i].append(e)
+            bid[e] = i
+            if fits is None or fits(blocks, bid, e):
+                walk(k + 1)
+            blocks[i].pop()
         blocks.pop()
+        del bid[e]
 
-    yield from rec(0, [])
+    walk(0)
+    return out
+
+
+def all_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every partition of range(n), as tuples of blocks."""
+    return _partitions(range(n))
 
 
 def _sample_rows(lat: Lattice, count: int, seed: int) -> list[Rows]:
     """Equivalences for larger lattices: all single-pair collapses plus
-    seeded random joins of several collapses (transitive closure of the
-    merged blocks)."""
+    seeded random joins of several collapses (the classes of the pairs
+    merged row by row)."""
     n = lat.n
     rng = random.Random(seed)
-    rels: list[Rows] = []
 
-    def closure_of(pairs) -> Rows:
-        parent = list(range(n))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+    def merged(pairs) -> Rows:
+        rows = [1 << x for x in range(n)]
         for a, b in pairs:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-        block = [0] * n
-        for x in range(n):
-            block[find(x)] |= 1 << x
-        return tuple(block[find(x)] for x in range(n))
+            cls = rows[a] | rows[b]
+            for x in members(cls):
+                rows[x] = cls
+        return tuple(rows)
 
-    for a in range(n):
-        for b in range(a + 1, n):
-            rels.append(closure_of([(a, b)]))
+    rels = [merged([(a, b)]) for a in range(n) for b in range(a + 1, n)]
     while len(rels) < count:
         k = rng.randint(2, 4)
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
-        rels.append(closure_of(pairs))
+        rels.append(merged(pairs))
     return rels
 
 

@@ -1,0 +1,80 @@
+"""The one routine kept for each job, against independent references in
+tests/oracles.py: colour classes against the start that also carries
+cover counts, height and depth; the `inclusion covers:` line and the
+deductive-system join table against a frozenset scan; the partition walk
+against a recursive generator, in order; and the meet congruences
+against a scan of every partition."""
+
+import pytest
+
+from latkit.cli import main
+from latkit.core import _wl_colors, load_lattice_file
+from latkit.corpus import (direct_product, enumerate_lattices, make_boolean,
+                           make_chain, make_fig2, make_M3, make_Mn)
+from latkit.deduction import (all_deductive_systems, all_meet_congruences,
+                              all_partitions)
+
+from .oracles import (brute_inclusion_covers, brute_meet_congruences,
+                      recursive_partitions, wl_partition)
+
+
+def classes(color) -> set[frozenset]:
+    return {frozenset(i for i, c in enumerate(color) if c == k) for k in set(color)}
+
+
+def test_colour_classes_match_the_richer_start():
+    lats = [lat for n in range(2, 10) for lat in enumerate_lattices(n, cap=9)]
+    lats += [make_boolean(4), make_boolean(5), make_fig2(), make_Mn(8), make_chain(16),
+             direct_product(make_M3(), make_chain(2))]
+    for lat in lats:
+        up = [lat.up_mask(i) for i in lat.elements]
+        down = [lat.down_mask(i) for i in lat.elements]
+        assert classes(_wl_colors(up, down)) == classes(wl_partition(up, down)), lat
+    assert len(lats) == 1377 + 6
+
+
+def lattice_text(name: str, lat) -> str:
+    covers = " ".join(f"{lat.labels[i]}<{lat.labels[j]}" for i, j in lat.covers())
+    return f"lattice {name}\nelements: {' '.join(lat.labels)}\ncovers: {covers}\n"
+
+
+def test_inclusion_covers_and_join_table(capsys, tmp_path, corpus):
+    lats = [(e.name, e.lattice) for e in corpus]
+    lats += [(f"M:{k}", make_Mn(k)) for k in range(2, 9)]
+    path = tmp_path / "lattice.txt"
+    for name, lat in lats:
+        path.write_text(lattice_text(name, lat), encoding="utf-8")
+        assert main(["deductive-systems", "--file", str(path), "--lattice-of"]) == 0
+        line = next(x for x in capsys.readouterr().out.splitlines()
+                    if x.startswith("inclusion covers:"))
+        dsl = all_deductive_systems(load_lattice_file(str(path)))
+        covers = brute_inclusion_covers(dsl.systems)
+        assert line == "inclusion covers: " + (
+            "; ".join(f"S{i} < S{j}" for i, j in covers) or "none"), name
+
+        # up[i]: the positions the covers reach from i. Systems come in
+        # size order, so every cover (i, j) has i < j.
+        k = len(dsl.systems)
+        up = [1 << i for i in range(k)]
+        for i, j in reversed(covers):
+            up[i] |= up[j]
+        for i in range(k):
+            for j in range(k):
+                common, join = up[i] & up[j], dsl.join_table[i][j]
+                assert common >> join & 1 and not common & ~up[join], (name, i, j)
+
+
+def test_partition_walk_keeps_the_recursive_order():
+    for n in range(8):
+        assert list(all_partitions(n)) == list(recursive_partitions(n)), n
+
+
+def test_meet_congruences_match_the_partition_scan_up_to_seven():
+    count = 0
+    for n in range(2, 8):
+        for lat in enumerate_lattices(n):
+            got = all_meet_congruences(lat)
+            assert len(got) == len(set(got))
+            assert set(got) == brute_meet_congruences(lat), lat.labels
+            count += 1
+    assert count == 77
