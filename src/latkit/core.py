@@ -28,15 +28,19 @@ from .report import CheckResult, PropertyReport, law
 ELEMENT_CAP = 64
 
 
-# Member ids of every byte value, so members() of a mask below 256 is
-# one tuple lookup.
+# Member ids of every byte value, and of every byte value shifted up
+# eight places, so members() of a mask below 2**16 is at most two tuple
+# lookups.
 _BYTE_IDS = tuple(tuple(i for i in range(8) if b >> i & 1) for b in range(256))
+_HIGH_BYTE_IDS = tuple(tuple(i + 8 for i in ids) for ids in _BYTE_IDS)
 
 
 def members(mask: int) -> tuple[int, ...]:
     """The ids of the set bits of a subset mask, ascending."""
     if mask < 256:
         return _BYTE_IDS[mask]
+    if mask < 65536:
+        return _BYTE_IDS[mask & 255] + _HIGH_BYTE_IDS[mask >> 8]
     out = []
     while mask:
         low = mask & -mask

@@ -13,6 +13,12 @@ rows from enumeration to verdict. They are rows rather than partitions
 because Theta of an arbitrary deductive system can fail transitivity.
 The public functions take and return frozensets of ids, and relations as
 frozensets of ordered id pairs.
+
+Theta is memoised on the lattice per subset mask and shared by the five
+checks and the public theta; the compatibility verdict seeds that memo
+from the rows it already holds, so the within-D rows of a system are
+built once. _substitutes takes the intersection of the target rows once
+per distinct implication set, not once per cell of the table.
 """
 
 from __future__ import annotations
@@ -226,7 +232,14 @@ def _both_ways(rows) -> Rows:
 
 
 def _theta(lat: Lattice, d: int) -> Rows:
-    return _both_ways(_within_rows(lat, d))
+    """Theta(d) as rows, memoised on the lattice per subset mask; the
+    compatibility verdict seeds it from the rows it already holds."""
+    thetas = lat.memo("theta", dict)
+    try:
+        return thetas[d]
+    except KeyError:
+        rows = thetas[d] = _both_ways(_within_rows(lat, d))
+        return rows
 
 
 def theta(lat: Lattice, d: frozenset) -> Relation:
@@ -343,16 +356,23 @@ def has_sp_plus(lat: Lattice, rel: Relation) -> bool:
 def _substitutes(lat: Lattice, rows: Rows, target) -> bool:
     """For (a, b) related by rows and every c, each x in a->c relates by
     target to each y in b->c: the union of b->c over the row of a lies
-    within the target rows of all members of a->c."""
+    within the target rows of all members of a->c. That intersection is
+    taken once per distinct implication set a->c."""
     it, full = implies_masks(lat), (1 << lat.n) - 1
+    allowed: dict[int, int] = {}
     for a, row in enumerate(rows):
         bs = members(row)
         for c, xs in enumerate(it[a]):
             reach = 0
             for b in bs:
                 reach |= it[b][c]
-            if reach and reach & ~intersect_rows(target, xs, full):
-                return False
+            if reach:
+                try:
+                    common = allowed[xs]
+                except KeyError:
+                    common = allowed[xs] = intersect_rows(target, xs, full)
+                if reach & ~common:
+                    return False
     return True
 
 
@@ -400,7 +420,10 @@ def _compatible_verdict(lat: Lattice, d: int) -> bool:
             if any(not m & ~within for m in outside):
                 return False
 
-    return _substitutes(lat, _both_ways(sub), sub)
+    thetas = lat.memo("theta", dict)
+    if d not in thetas:
+        thetas[d] = _both_ways(sub)
+    return _substitutes(lat, thetas[d], sub)
 
 
 def compatible_systems(lat: Lattice, cap: int = SUBSET_CAP) -> list[frozenset]:

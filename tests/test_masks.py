@@ -18,8 +18,15 @@ from latkit import (InvalidParameter, Lattice, all_deductive_systems,
                     theta)
 from latkit.complementation import complement_sets
 from latkit.connectives import implies_table
-from latkit.corpus import default_corpus
-from latkit.deduction import all_partitions, relation_of_blocks
+from latkit.core import members
+from latkit.corpus import default_corpus, make_boolean
+from latkit.deduction import (_pairs, _sample_rows, all_partitions,
+                              check_compatible_kernel_recovery,
+                              check_deductive_family,
+                              check_filters_vs_deductive_systems,
+                              check_meet_congruence_kernels,
+                              check_substitution_equivalences,
+                              relation_of_blocks)
 
 from .oracles import (brute_closure_scan, brute_has_sp_implies,
                       brute_has_sp_plus, brute_is_compatible_ds,
@@ -138,6 +145,82 @@ def test_deduction_masks_match_brute_force():
                     assert has_sp_plus(work, rel) == brute_has_sp_plus(rel, comp), (lat, rel)
                     verdicts.add(("sp", sp))
     assert verdicts == {True, False, ("sp", True), ("sp", False)}
+
+
+def test_deduction_fast_paths_match_brute_force_above_8_elements():
+    """fig2 (12 elements), B:4 (16) and M:8 (10) take members() past one
+    byte and fill the theta memo, with the real implication table and
+    with a corrupted one seeded on a fresh lattice before the first call.
+    Theta comes first on the real table and the compatibility verdict,
+    which seeds the memo, first on the corrupted one."""
+    rng = random.Random(11)
+    verdicts = set()
+    for lat in (make_fig2(), make_boolean(4), make_Mn(8)):
+        plain, corrupt = fresh(lat), fresh(lat)
+        table = tuple(toggled(rng, row, lat.n, 2) for row in implies_table(lat))
+        corrupt.memo("implies_table", lambda t=table: t)
+        for work in (plain, corrupt):
+            it = implies_table(work)
+            thetas = []
+            for d in all_deductive_systems(work).systems:
+                if work is plain:
+                    thetas.append(theta(work, d))
+                ok = is_compatible_ds(work, d)
+                if work is corrupt:
+                    thetas.append(theta(work, d))
+                assert thetas[-1] == brute_theta(work, it, d), (lat, d)
+                assert ok == brute_is_compatible_ds(work, it, d), (lat, d)
+                verdicts.add(ok)
+            for rel in [_pairs(rows) for rows in _sample_rows(work, 150, 0)] + thetas:
+                sp = has_sp_implies(work, rel)
+                assert sp == brute_has_sp_implies(work, rel, it), (lat, rel)
+                verdicts.add(("sp", sp))
+    assert verdicts == {True, False, ("sp", True), ("sp", False)}
+
+
+DEDUCTION_CHECKS = (check_filters_vs_deductive_systems, check_deductive_family,
+                    check_meet_congruence_kernels, check_substitution_equivalences,
+                    check_compatible_kernel_recovery)
+
+
+def test_deduction_results_do_not_depend_on_call_order():
+    """theta, is_compatible_ds and the five deduction checks share the
+    theta and verdict memos of a lattice; on fresh lattices, real and
+    corrupted, the public calls before the checks in suite order agree
+    with the checks in reverse order before the public calls."""
+    rng = random.Random(13)
+
+    def run(lat, steps):
+        out = {}
+        for step in steps:
+            systems = all_deductive_systems(lat).systems
+            if step == "theta":
+                out[step] = [theta(lat, d) for d in systems]
+            elif step == "compatible":
+                out[step] = [is_compatible_ds(lat, d) for d in systems]
+            else:
+                out[step.__name__] = step(lat)
+        return out
+
+    forward = ("theta", "compatible") + DEDUCTION_CHECKS
+    for lat in (make_N5(), make_Mn(4), make_boolean(3), make_fig2()):
+        table = tuple(toggled(rng, row, lat.n, 2) for row in implies_table(lat))
+        for corrupted in (False, True):
+            runs = []
+            for steps in (forward, forward[::-1]):
+                work = fresh(lat)
+                if corrupted:
+                    work.memo("implies_table", lambda t=table: t)
+                runs.append(run(work, steps))
+            assert runs[0] == runs[1], (lat, corrupted)
+
+
+def test_members_matches_a_bit_loop():
+    rng = random.Random(17)
+    masks = [0, 1, 255, 256, 65535, 65536]
+    masks += [rng.getrandbits(rng.randint(1, 64)) for _ in range(3000)]
+    for m in masks:
+        assert members(m) == tuple(i for i in range(m.bit_length()) if m >> i & 1), m
 
 
 def ids_of(lat, s):
