@@ -8,7 +8,18 @@ the singleton of the top element.
 
 The checks read implies_masks and odot_masks, the tables as int masks,
 which are derived from the memoised implies_table and odot_table; a
-table placed in those memos reaches every check.
+table placed in those memos reaches every check. implies_index, derived
+from implies_masks in turn, lists for each a the distinct values of a->c
+with the mask of the c that give each; a row of the table takes only a
+few distinct values.
+
+The residuation-type laws quantify over triples (a, b, c) in which c
+enters only through b->c and the order; they are decided one (a, b) row
+at a time. The index gives the mask of the c where the triple fails, in
+a few mask operations, and its lowest c is the first failing triple of
+a scan in (a, b, c) order, so the witness is that scan's. The "both set
+orders" monotonicity laws compare few distinct pairs of masks many
+times, so that test is memoised on the lattice per pair.
 """
 
 from __future__ import annotations
@@ -20,7 +31,7 @@ from .complementation import complement_masks, complement_sets, dblplus_masks, p
 from .core import (Lattice, check_ids, format_element_set, is_complemented, is_modular,
                    labelled, meet_closed_mask, members, to_mask, to_set)
 from .report import CheckResult, PropertyReport, law
-from .setops import mask_join, mask_le, mask_le1, mask_le2, mask_meet
+from .setops import intersect_rows, mask_join, mask_le, mask_le1, mask_le2, mask_meet
 
 
 def implies(lat: Lattice, a: int, b: int) -> frozenset:
@@ -94,6 +105,58 @@ def odot_masks(lat: Lattice) -> tuple[tuple[int, ...], ...]:
     return lat.memo("odot_masks", lambda: _table_masks(odot_table(lat)))
 
 
+def implies_index(lat: Lattice) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Row a holds a (v, cols) pair for each distinct value v of a->c,
+    cols the mask of the c with a->c = v, in order of the least such c;
+    memoised from implies_masks."""
+    def compute():
+        index = []
+        for row in implies_masks(lat):
+            cols: dict[int, int] = {}
+            for c, v in enumerate(row):
+                cols[v] = cols.get(v, 0) | 1 << c
+            index.append(tuple(cols.items()))
+        return tuple(index)
+    return lat.memo("implies_index", compute)
+
+
+def _hits(row, s: int) -> int:
+    """The c whose value in an implies_index row meets the mask s."""
+    out = 0
+    for v, cols in row:
+        if v & s:
+            out |= cols
+    return out
+
+
+def _row_law(lat: Lattice, name: str, fails, asserted: bool) -> CheckResult:
+    """law() over the triples (a, b, c), one (a, b) row at a time:
+    fails(a, b) is the mask of the c where the triple fails, and the
+    witness names its lowest c, the first failing triple in (a, b, c)
+    order."""
+    abc = labelled(lat, "abc")
+
+    def witness(a, b):
+        bad = fails(a, b)
+        return abc(a, b, (bad & -bad).bit_length() - 1)
+    return law(name, lambda a, b: not fails(a, b), product(lat.elements, repeat=2),
+               asserted, witness)
+
+
+def _both_orders(lat: Lattice):
+    """mask_le1 and mask_le2 together, as a function of two masks whose
+    answers are memoised on the lattice per pair."""
+    seen = lat.memo("both_orders", dict)
+
+    def le(x: int, y: int) -> bool:
+        try:
+            return seen[x, y]
+        except KeyError:
+            ok = seen[x, y] = mask_le1(lat, x, y) and mask_le2(lat, x, y)
+            return ok
+    return le
+
+
 @dataclass(frozen=True)
 class OpTable:
     """Row-operand-first operation table: entries[x][y] == x op y."""
@@ -133,6 +196,7 @@ def check_implication_laws(lat: Lattice) -> PropertyReport:
     cs, cm, dps = complement_sets(lat), complement_masks(lat), dblplus_masks(lat)
     els, top, up, meet = lat.elements, 1 << lat.top, lat._up, lat._meet
     ab, abc = labelled(lat, "ab"), labelled(lat, "abc")
+    le = _both_orders(lat)
 
     converse = next(((a, b) for a, b in product(els, els)
                      if it[a][b] == top and not up[a] >> b & 1), None)
@@ -150,8 +214,7 @@ def check_implication_laws(lat: Lattice) -> PropertyReport:
         law("b complements a gives a->b = a+", lambda a, b: it[a][b] == cm[a],
             ((a, b) for a in els for b in cs[a]), asserted, ab),
         law("b below c makes a->b below a->c (both set orders)",
-            lambda a, b, c: (mask_le1(lat, it[a][b], it[a][c])
-                             and mask_le2(lat, it[a][b], it[a][c])),
+            lambda a, b, c: le(it[a][b], it[a][c]),
             ((a, b, c) for b, c in product(els, els) if up[b] >> c & 1 for a in els),
             asserted, abc),
         law("meet-closed a++ makes true consequents meet-stable",
@@ -230,19 +293,15 @@ def check_implication_meet_link(lat: Lattice) -> PropertyReport:
     """Links between implication truth and meets below a threshold on a
     complemented modular lattice."""
     asserted = is_complemented(lat) and is_modular(lat)
-    it = implies_masks(lat)
+    index = implies_index(lat)
     up, meet = lat._up, lat._meet
-    triples = list(product(lat.elements, repeat=3))
-    abc = labelled(lat, "abc")
 
     # x is below b->c pointwise when some member of b->c is above x.
     return PropertyReport("implication meet link", (
-        law("a below b->c pointwise forces a^b below c",
-            lambda a, b, c: not up[a] & it[b][c] or up[meet[a][b]] >> c & 1,
-            triples, asserted, abc),
-        law("a^b below c iff a^b below b->c pointwise",
-            lambda a, b, c: bool(up[meet[a][b]] >> c & 1) == bool(up[meet[a][b]] & it[b][c]),
-            triples, asserted, abc),
+        _row_law(lat, "a below b->c pointwise forces a^b below c",
+                 lambda a, b: _hits(index[b], up[a]) & ~up[meet[a][b]], asserted),
+        _row_law(lat, "a^b below c iff a^b below b->c pointwise",
+                 lambda a, b: up[meet[a][b]] ^ _hits(index[b], up[meet[a][b]]), asserted),
     ))
 
 
@@ -250,7 +309,7 @@ def check_diamond_residuation(lat: Lattice) -> PropertyReport:
     """On the diamond family the implication has a three-way case form and
     witnesses full residuation: a^b below c iff a below b->c pointwise."""
     asserted = is_mn_shaped(lat)
-    it, cm = implies_masks(lat), complement_masks(lat)
+    it, cm, index = implies_masks(lat), complement_masks(lat), implies_index(lat)
     els, up, meet = lat.elements, lat._up, lat._meet
 
     def expected(a, b):
@@ -261,9 +320,8 @@ def check_diamond_residuation(lat: Lattice) -> PropertyReport:
     return PropertyReport("diamond residuation", (
         law("case form: {1} / {b} / a+", lambda a, b: it[a][b] == expected(a, b),
             product(els, els), asserted, labelled(lat, "ab")),
-        law("residuation: a^b below c iff a below b->c pointwise",
-            lambda a, b, c: bool(up[meet[a][b]] >> c & 1) == bool(up[a] & it[b][c]),
-            product(els, repeat=3), asserted, labelled(lat, "abc")),
+        _row_law(lat, "residuation: a^b below c iff a below b->c pointwise",
+                 lambda a, b: up[meet[a][b]] ^ _hits(index[b], up[a]), asserted),
     ))
 
 
@@ -275,6 +333,7 @@ def check_conjunction_laws(lat: Lattice) -> PropertyReport:
     els, up, down, meet = lat.elements, lat._up, lat._down, lat._meet
     zero = 1 << lat.bottom
     ab = labelled(lat, "ab")
+    le = _both_orders(lat)
 
     def got(a, b):
         return f"{ab(a, b)} got={format_element_set(lat, members(ot[a][b]))}"
@@ -296,8 +355,7 @@ def check_conjunction_laws(lat: Lattice) -> PropertyReport:
             lambda a, b: bounded(a, b) and (not up[b] >> a & 1 or ot[a][b] == 1 << b),
             product(els, els), comp, lambda a, b: got(a, b) if not bounded(a, b) else ab(a, b)),
         law("a below b makes a(.)c below b(.)c (both set orders)",
-            lambda a, b, c: (mask_le1(lat, ot[a][c], ot[b][c])
-                             and mask_le2(lat, ot[a][c], ot[b][c])),
+            lambda a, b, c: le(ot[a][c], ot[b][c]),
             ((a, b, c) for a, b in product(els, els) if up[a] >> b & 1 for c in els),
             comp, labelled(lat, "abc")),
         law("idempotence: a(.)a = {a}", lambda a: ot[a][a] == 1 << a,
@@ -316,10 +374,12 @@ def check_adjointness(lat: Lattice) -> PropertyReport:
     """a(.)b below c iff a below b->c, over all triples: a(.)b within the
     down-set of c iff b->c within the up-set of a."""
     asserted = is_complemented(lat) and is_modular(lat)
-    it, ot = implies_masks(lat), odot_masks(lat)
-    up, down = lat._up, lat._down
+    index, ot = implies_index(lat), odot_masks(lat)
+    up, full = lat._up, (1 << lat.n) - 1
+
+    # The c above all of a(.)b, against the c with b->c within up(a).
     return PropertyReport("adjointness", (
-        law("a(.)b below c iff a below b->c",
-            lambda a, b, c: (not ot[a][b] & ~down[c]) == (not it[b][c] & ~up[a]),
-            product(lat.elements, repeat=3), asserted, labelled(lat, "abc")),
+        _row_law(lat, "a(.)b below c iff a below b->c",
+                 lambda a, b: (intersect_rows(up, ot[a][b], full)
+                               ^ (full & ~_hits(index[b], ~up[a]))), asserted),
     ))

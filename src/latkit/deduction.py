@@ -18,7 +18,29 @@ Theta is memoised on the lattice per subset mask and shared by the five
 checks and the public theta; the compatibility verdict seeds that memo
 from the rows it already holds, so the within-D rows of a system are
 built once. _substitutes takes the intersection of the target rows once
-per distinct implication set, not once per cell of the table.
+per distinct implication set, not once per cell of the table. Both the
+within-D rows and the hypothesis step of the verdict read
+connectives.implies_index, so they work on the few distinct values of
+each row of the implication table instead of on its n columns.
+
+check_substitution_equivalences tests _substitutes only on candidates
+that contain the least equivalence with the implication substitution
+property, which _least_substitution_rows computes once per lattice
+(Freese, "Computing congruences efficiently", Algebra Universalis 59,
+2008). Any such equivalence E contains the identity, so (a, a) in E
+puts each a->c inside one class, and (a, b) in E puts a->c and b->c in
+one class whenever both are nonempty. The closure starts from the
+identity classes with every (a, a) on a worklist. Processing a pair
+(a, b) merges, for each c with a->c and b->c nonempty, the classes that
+meet them, and a merge puts every pair across the merged classes on the
+worklist. Each merge is forced in every E that contains the current
+classes, so by induction the classes stay within every such E. When
+the worklist is empty every related pair has been processed, and the
+classes only grew after that, so the result has the property: it is
+the least one, and an equivalence without it cannot have the property.
+Every cross pair is processed because transitivity forces nothing
+through an empty implication set: (a, b) and (b, e) related with b->c
+empty say nothing about a->c and e->c.
 """
 
 from __future__ import annotations
@@ -29,7 +51,7 @@ import random
 from dataclasses import dataclass
 
 from .complementation import complement_masks
-from .connectives import implies_masks, is_mn_shaped
+from .connectives import implies_index, implies_masks, is_mn_shaped
 from .core import (Lattice, _positions_above_below, format_element_set,
                    is_complemented, is_modular, meet_closed_mask, members,
                    subset_key, to_mask, to_set)
@@ -219,10 +241,10 @@ def ds_lattice_is_boolean_2n(lat: Lattice) -> bool:
 # -- relations ---------------------------------------------------------
 
 def _within_rows(lat: Lattice, d: int) -> list[int]:
-    """Row x holds the y with implies(x, y) within d."""
+    """Row x holds the y with implies(x, y) within d: the columns of the
+    distinct values of row x that lie within d."""
     nd = ~d
-    return [sum(1 << y for y, m in enumerate(row) if not m & nd)
-            for row in implies_masks(lat)]
+    return [sum(cols for v, cols in row if not v & nd) for row in implies_index(lat)]
 
 
 def _both_ways(rows) -> Rows:
@@ -402,23 +424,19 @@ def _is_compatible(lat: Lattice, d: int) -> bool:
 def _compatible_verdict(lat: Lattice, d: int) -> bool:
     if not _is_deductive(lat, d):
         return False
-    it, n = implies_masks(lat), lat.n
-    full = (1 << n) - 1
+    full = (1 << lat.n) - 1
     sub = _within_rows(lat, d)
     # For a hypothesis set X = a->b within d, within(X) holds the t with
     # x->t within d for every x in X; no implication set outside d may
     # lie inside it.
-    outside = {it[c][e] for c in range(n) for e in range(n) if not sub[c] >> e & 1}
-    checked = set()
-    for a in range(n):
-        for b in members(sub[a]):
-            xs = it[a][b]
-            if xs in checked:
-                continue
-            checked.add(xs)
-            within = intersect_rows(sub, xs, full)
-            if any(not m & ~within for m in outside):
-                return False
+    inside, outside = set(), set()
+    for row in implies_index(lat):
+        for v, _ in row:
+            (outside if v & ~d else inside).add(v)
+    for xs in inside:
+        within = intersect_rows(sub, xs, full)
+        if any(not m & ~within for m in outside):
+            return False
 
     thetas = lat.memo("theta", dict)
     if d not in thetas:
@@ -473,6 +491,13 @@ def all_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
     return _partitions(range(n))
 
 
+@functools.cache
+def _partition_rows(n: int) -> tuple[Rows, ...]:
+    """Row masks of every partition of range(n), in walk order, built
+    once per n."""
+    return tuple(_block_rows(n, p) for p in all_partitions(n))
+
+
 def _sample_rows(lat: Lattice, count: int, seed: int) -> list[Rows]:
     """Equivalences for larger lattices: all single-pair collapses plus
     seeded random joins of several collapses (the classes of the pairs
@@ -494,6 +519,37 @@ def _sample_rows(lat: Lattice, count: int, seed: int) -> list[Rows]:
         pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(k)]
         rels.append(merged(pairs))
     return rels
+
+
+def _least_substitution_rows(lat: Lattice) -> Rows:
+    """The least equivalence with the implication substitution property,
+    as rows, memoised on the lattice: a worklist closure of the identity
+    (the module docstring proves it least)."""
+    def compute():
+        index = implies_index(lat)
+        cls = [1 << x for x in range(lat.n)]
+        work = [(a, a) for a in range(lat.n)]
+        while work:
+            a, b = work.pop()
+            for xs, ca in index[a]:
+                if not xs:
+                    continue
+                for ys, cb in index[b]:
+                    if not (ys and ca & cb):
+                        continue
+                    m = xs | ys
+                    joined = cls[(m & -m).bit_length() - 1]
+                    if not m & ~joined:
+                        continue
+                    for x in members(m & ~joined):
+                        if not joined >> x & 1:
+                            part = cls[x]
+                            work.extend((p, q) for p in members(joined) for q in members(part))
+                            joined |= part
+                    for x in members(joined):
+                        cls[x] = joined
+        return tuple(cls)
+    return lat.memo("least_substitution", compute)
 
 
 # -- quantified checks -------------------------------------------------
@@ -608,13 +664,15 @@ def check_substitution_equivalences(lat: Lattice, exhaustive_cap: int = 6,
     system, and they refine theta of that kernel."""
     asserted = is_complemented(lat)
     if lat.n <= exhaustive_cap:
-        source = [_block_rows(lat.n, p) for p in all_partitions(lat.n)]
+        source = _partition_rows(lat.n)
         mode = "exhaustive"
     else:
         source = _sample_rows(lat, samples, seed)
         mode = f"{len(source)} sampled"
+    # Every equivalence with the property contains the least one.
+    least = _least_substitution_rows(lat)
     kernels = [(_kernel(lat, rows), rows) for rows in source
-               if _substitutes(lat, rows, rows)]
+               if _within(least, rows) and _substitutes(lat, rows, rows)]
 
     return PropertyReport(f"substitution equivalences ({mode})", (
         law("implication substitution gives complement substitution",

@@ -522,3 +522,131 @@ def recursive_partitions(n: int):
         blocks.pop()
 
     yield from rec(0, [])
+
+
+# -- residuation-type laws by triple scans --------------------------------
+
+def brute_is_complemented(lat: Lattice) -> bool:
+    return all(brute_complements(lat, a) for a in lat.elements)
+
+
+def brute_is_modular(lat: Lattice) -> bool:
+    """a below c gives a v (b ^ c) = (a v b) ^ c."""
+    return all(lat.join(a, lat.meet(b, c)) == lat.meet(lat.join(a, b), c)
+               for a in lat.elements for b in lat.elements for c in lat.elements
+               if lat.leq(a, c))
+
+
+def brute_is_diamond(lat: Lattice) -> bool:
+    """Two or more elements besides the bounds, each both an atom and a
+    coatom."""
+    middles = [x for x in lat.elements if x not in (lat.bottom, lat.top)]
+    return len(middles) >= 2 and not any(lat.lt(x, y) for x in middles for y in middles)
+
+
+def _scan(lat: Lattice, name: str, holds, tuples, asserted: bool, letters: str) -> CheckResult:
+    """The first tuple where holds fails, named "a=x b=y ..." by label."""
+    for t in tuples:
+        if not holds(*t):
+            return CheckResult(name, False, " ".join(
+                f"{k}={lat.labels[i]}" for k, i in zip(letters, t)), asserted)
+    return CheckResult(name, True, None, asserted)
+
+
+def _le1(lat: Lattice, a: frozenset, b: frozenset) -> bool:
+    return all(any(lat.leq(x, y) for y in b) for x in a)
+
+
+def _le2(lat: Lattice, a: frozenset, b: frozenset) -> bool:
+    return all(any(lat.leq(x, y) for x in a) for y in b)
+
+
+def brute_adjointness(lat: Lattice, it, ot) -> PropertyReport:
+    """check_adjointness from the frozenset tables it and ot, scanning
+    every triple (a, b, c) in order."""
+    els = lat.elements
+    asserted = brute_is_complemented(lat) and brute_is_modular(lat)
+    return PropertyReport("adjointness", (
+        _scan(lat, "a(.)b below c iff a below b->c",
+              lambda a, b, c: (all(lat.leq(x, c) for x in ot[a][b])
+                               == all(lat.leq(a, y) for y in it[b][c])),
+              itertools.product(els, repeat=3), asserted, "abc"),
+    ))
+
+
+def brute_implication_meet_link(lat: Lattice, it) -> PropertyReport:
+    els = lat.elements
+    asserted = brute_is_complemented(lat) and brute_is_modular(lat)
+
+    def below(x, s):
+        return any(lat.leq(x, y) for y in s)
+
+    return PropertyReport("implication meet link", (
+        _scan(lat, "a below b->c pointwise forces a^b below c",
+              lambda a, b, c: not below(a, it[b][c]) or lat.leq(lat.meet(a, b), c),
+              itertools.product(els, repeat=3), asserted, "abc"),
+        _scan(lat, "a^b below c iff a^b below b->c pointwise",
+              lambda a, b, c: lat.leq(lat.meet(a, b), c) == below(lat.meet(a, b), it[b][c]),
+              itertools.product(els, repeat=3), asserted, "abc"),
+    ))
+
+
+def brute_diamond_residuation(lat: Lattice, it) -> PropertyReport:
+    els = lat.elements
+    asserted = brute_is_diamond(lat)
+
+    def expected(a, b):
+        if lat.leq(a, b):
+            return frozenset((lat.top,))
+        return frozenset((b,)) if a == lat.top else brute_complements(lat, a)
+
+    return PropertyReport("diamond residuation", (
+        _scan(lat, "case form: {1} / {b} / a+", lambda a, b: it[a][b] == expected(a, b),
+              itertools.product(els, repeat=2), asserted, "ab"),
+        _scan(lat, "residuation: a^b below c iff a below b->c pointwise",
+              lambda a, b, c: (lat.leq(lat.meet(a, b), c)
+                               == any(lat.leq(a, y) for y in it[b][c])),
+              itertools.product(els, repeat=3), asserted, "abc"),
+    ))
+
+
+def brute_implication_monotone(lat: Lattice, it) -> CheckResult:
+    """The "both set orders" law of check_implication_laws, scanning b
+    below c, then a."""
+    els = lat.elements
+    return _scan(lat, "b below c makes a->b below a->c (both set orders)",
+                 lambda a, b, c: (_le1(lat, it[a][b], it[a][c])
+                                  and _le2(lat, it[a][b], it[a][c])),
+                 ((a, b, c) for b in els for c in els if lat.leq(b, c) for a in els),
+                 brute_is_complemented(lat), "abc")
+
+
+def brute_conjunction_monotone(lat: Lattice, ot) -> CheckResult:
+    """The "both set orders" law of check_conjunction_laws, scanning a
+    below b, then c."""
+    els = lat.elements
+    return _scan(lat, "a below b makes a(.)c below b(.)c (both set orders)",
+                 lambda a, b, c: (_le1(lat, ot[a][c], ot[b][c])
+                                  and _le2(lat, ot[a][c], ot[b][c])),
+                 ((a, b, c) for a in els for b in els if lat.leq(a, b) for c in els),
+                 brute_is_complemented(lat), "abc")
+
+
+# -- the least substitution equivalence ---------------------------------
+
+def brute_least_substitution(lat: Lattice, it) -> tuple[int, ...]:
+    """Rows of the intersection of every partition of the elements with
+    the implication substitution property, from the definition: a and b
+    in one block put every x in it[a][c] in one block with every y in
+    it[b][c]. The one-block partition always qualifies."""
+    n = lat.n
+    rows = [(1 << n) - 1] * n
+    for part in partitions(list(range(n))):
+        bid = {x: k for k, blk in enumerate(part) for x in blk}
+        if all(bid[x] == bid[y] for blk in part for a in blk for b in blk
+               for c in range(n) for x in it[a][c] for y in it[b][c]):
+            for blk in part:
+                m = sum(1 << x for x in blk)
+                for x in blk:
+                    rows[x] &= m
+    return tuple(rows)

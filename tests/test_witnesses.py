@@ -1,7 +1,10 @@
-"""Pinned reports: the digest of `verify --format json` on the default
-corpus, and the witnesses that law checks give on corrupted tables."""
+"""Pinned reports: the digests of `verify` outputs, among them `verify
+--format json` on the default corpus, and the witnesses that law checks
+give on corrupted tables."""
 
 import hashlib
+
+import pytest
 
 from latkit.cli import main
 from latkit.connectives import (check_conjunction_laws, check_implication_laws,
@@ -13,12 +16,32 @@ from latkit.deduction import (check_filters_vs_deductive_systems,
 
 VERIFY_JSON_SHA256 = "d4d759b2b5a2062003525a51750e2e859a4c91bd6bc2faa598cd4b1b2f16093a"
 
+# sha256 of the standard output of three more verify runs: the
+# complemented lattices up to 7 elements, the largest diamond of the
+# builtins, and the text report of the default corpus.
+VERIFY_OUTPUT_SHA256 = {
+    "verify --corpus 7 --seed 3 --format json":
+        "46a61c2f9f68c3e0539c12d16433146e12413ad6ba2fcd0b73a427b9611d5816",
+    "verify --lattice M:8 --format json":
+        "0b242b44a4e43f3368d51a7041b52d7c81843b366fc32907290442351a1b6d37",
+    "verify --seed 0":
+        "4ab8579e15efb05c5c596e77e22b27754c380f01720246400cc0d374070a6243",
+}
+
 
 def test_verify_json_digest(capsys):
     code = main(["verify", "--format", "json", "--seed", "0"])
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_JSON_SHA256
+
+
+@pytest.mark.parametrize("command", sorted(VERIFY_OUTPUT_SHA256))
+def test_verify_output_digests(capsys, command):
+    code = main(command.split())
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_OUTPUT_SHA256[command]
 
 
 def with_corrupted_tables(lat):
