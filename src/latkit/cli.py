@@ -98,10 +98,17 @@ def load_source(args: argparse.Namespace) -> Lattice:
         lat = load_lattice_file(args.file)
     else:
         raise InvalidParameter("no lattice source given")
-    if lat.n > args.max_elements:
-        raise InvalidParameter(
-            f"lattice has {lat.n} elements, over the cap {args.max_elements}")
+    _check_size(args, lat)
     return lat
+
+
+def _check_size(args: argparse.Namespace, lat: Lattice, name: str = "") -> None:
+    """Raises InvalidParameter when lat has more than --max-elements
+    elements; name says which lattice of a sweep it is."""
+    if lat.n > args.max_elements:
+        what = f"lattice {name}" if name else "lattice"
+        raise InvalidParameter(
+            f"{what} has {lat.n} elements, over the cap {args.max_elements}")
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -187,7 +194,13 @@ def _verify_results(args: argparse.Namespace):
                       ("--max-partitions", args.max_partitions)):
         if cap < 1:
             raise InvalidParameter(f"{flag} must be positive, got {cap}")
-    if args.corpus is not None:
+    if args.lattice is not None or args.file is not None:
+        lat = load_source(args)
+        name = lat.name or (args.file or "lattice")
+        return [(name, lattice_suite(lat, args.max_subsets, args.max_partitions, args.seed))]
+    if args.corpus is None:
+        entries = default_corpus()
+    else:
         if args.corpus > ENUM_CAP:
             raise InvalidParameter(
                 f"corpus sweep capped at {ENUM_CAP} elements, got {args.corpus}")
@@ -198,13 +211,11 @@ def _verify_results(args: argparse.Namespace):
         if not entries:
             raise InvalidParameter(
                 f"no complemented lattice has at most {args.corpus} elements")
-        return corpus_suite(entries, args.max_subsets, args.max_partitions, args.seed)
-    if args.lattice is None and args.file is None:
-        return corpus_suite(default_corpus(), args.max_subsets,
-                            args.max_partitions, args.seed)
-    lat = load_source(args)
-    name = lat.name or (args.file or "lattice")
-    return [(name, lattice_suite(lat, args.max_subsets, args.max_partitions, args.seed))]
+    # Each lattice of a sweep meets the cap a single source meets; the
+    # first one over it is named.
+    for e in entries:
+        _check_size(args, e.lattice, e.name)
+    return corpus_suite(entries, args.max_subsets, args.max_partitions, args.seed)
 
 
 def _verify_text(results) -> tuple[str, bool]:

@@ -13,13 +13,14 @@ from implies_masks in turn, lists for each a the distinct values of a->c
 with the mask of the c that give each; a row of the table takes only a
 few distinct values.
 
-The residuation-type laws quantify over triples (a, b, c) in which c
-enters only through b->c and the order; they are decided one (a, b) row
-at a time. The index gives the mask of the c where the triple fails, in
-a few mask operations, and its lowest c is the first failing triple of
-a scan in (a, b, c) order, so the witness is that scan's. The "both set
-orders" monotonicity laws compare few distinct pairs of masks many
-times, so that test is memoised on the lattice per pair.
+The costliest laws are decided a row at a time by report.row_law, and
+the lowest failing coordinate of a row gives the first failing tuple of
+the full scan, so witnesses are that scan's, on corrupted tables too.
+The residuation-type laws read the index per (a, b) row; modus ponens
+and self application decide each distinct value of a->b in a row once;
+modus tollens and the conjunction's reapplication compute a pointwise
+operation once per distinct pair; the monotonicity laws go through
+_order_fails and _monotone_law.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from itertools import product
 from .complementation import complement_masks, complement_sets, dblplus_masks, plus_mask
 from .core import (Lattice, check_ids, format_element_set, is_complemented, is_modular,
                    labelled, meet_closed_mask, members, to_mask, to_set)
-from .report import CheckResult, PropertyReport, law
-from .setops import intersect_rows, mask_join, mask_le, mask_le1, mask_le2, mask_meet
+from .report import CheckResult, PropertyReport, law, row_law
+from .setops import intersect_rows, mask_join, mask_le1, mask_le2, mask_meet
 
 
 def implies(lat: Lattice, a: int, b: int) -> frozenset:
@@ -130,31 +131,38 @@ def _hits(row, s: int) -> int:
 
 
 def _row_law(lat: Lattice, name: str, fails, asserted: bool) -> CheckResult:
-    """law() over the triples (a, b, c), one (a, b) row at a time:
-    fails(a, b) is the mask of the c where the triple fails, and the
-    witness names its lowest c, the first failing triple in (a, b, c)
-    order."""
-    abc = labelled(lat, "abc")
-
-    def witness(a, b):
-        bad = fails(a, b)
-        return abc(a, b, (bad & -bad).bit_length() - 1)
-    return law(name, lambda a, b: not fails(a, b), product(lat.elements, repeat=2),
-               asserted, witness)
+    """row_law() over the triples (a, b, c), one (a, b) row at a time."""
+    return row_law(name, fails, product(lat.elements, repeat=2), asserted,
+                   labelled(lat, "abc"))
 
 
-def _both_orders(lat: Lattice):
-    """mask_le1 and mask_le2 together, as a function of two masks whose
-    answers are memoised on the lattice per pair."""
-    seen = lat.memo("both_orders", dict)
+def _order_fails(lat: Lattice):
+    """fails(xs, ys): the mask of the positions i where xs[i] is not below
+    ys[i] in both set orders (mask_le1 and mask_le2). Each distinct pair
+    of masks is decided once per lattice, so a row whose pairs are all
+    known to hold costs one set test."""
+    good, bad = lat.memo("both_orders", lambda: (set(), set()))
 
-    def le(x: int, y: int) -> bool:
-        try:
-            return seen[x, y]
-        except KeyError:
-            ok = seen[x, y] = mask_le1(lat, x, y) and mask_le2(lat, x, y)
-            return ok
-    return le
+    def fails(xs, ys) -> int:
+        pairs = tuple(zip(xs, ys))
+        if good.issuperset(pairs):
+            return 0
+        for pair in set(pairs) - good - bad:
+            (good if mask_le1(lat, *pair) and mask_le2(lat, *pair) else bad).add(pair)
+        return sum(1 << i for i, pair in enumerate(pairs) if pair in bad)
+    return fails
+
+
+def _monotone_law(lat: Lattice, name: str, fails, asserted: bool, witness) -> CheckResult:
+    """row_law() over the rows (u, v) with u below v. Both set orders
+    together are a preorder on masks, so the law holds on every such row
+    once it holds on the covers u < v, and at u = v by reflexivity; only
+    a failing cover starts the scan for the first failing tuple."""
+    if not any(fails(u, v) for u, v in lat.covers()):
+        return CheckResult(name, True, None, asserted)
+    up = lat._up
+    return row_law(name, fails, ((u, v) for u, v in product(lat.elements, repeat=2)
+                                 if up[u] >> v & 1), asserted, witness)
 
 
 @dataclass(frozen=True)
@@ -196,7 +204,13 @@ def check_implication_laws(lat: Lattice) -> PropertyReport:
     cs, cm, dps = complement_sets(lat), complement_masks(lat), dblplus_masks(lat)
     els, top, up, meet = lat.elements, 1 << lat.top, lat._up, lat._meet
     ab, abc = labelled(lat, "ab"), labelled(lat, "abc")
-    le = _both_orders(lat)
+    cols, order_fails = tuple(zip(*it)), _order_fails(lat)
+    true = [sum(c for v, c in row if v == top) for row in implies_index(lat)]
+
+    def unstable(a, b):
+        # The c with a->c = {1} whose meet with b leaves that set.
+        row, t = meet[b], true[a]
+        return sum(1 << c for c in members(t) if not t >> row[c] & 1)
 
     converse = next(((a, b) for a, b in product(els, els)
                      if it[a][b] == top and not up[a] >> b & 1), None)
@@ -213,14 +227,12 @@ def check_implication_laws(lat: Lattice) -> PropertyReport:
         # frozenset cs[a].
         law("b complements a gives a->b = a+", lambda a, b: it[a][b] == cm[a],
             ((a, b) for a in els for b in cs[a]), asserted, ab),
-        law("b below c makes a->b below a->c (both set orders)",
-            lambda a, b, c: le(it[a][b], it[a][c]),
-            ((a, b, c) for b, c in product(els, els) if up[b] >> c & 1 for a in els),
-            asserted, abc),
-        law("meet-closed a++ makes true consequents meet-stable",
-            lambda a, b, c: it[a][c] != top or it[a][meet[b][c]] == top,
-            ((a, b, c) for a in els if meet_closed_mask(lat, dps[a])
-             for b in els if it[a][b] == top for c in els), asserted, abc),
+        _monotone_law(lat, "b below c makes a->b below a->c (both set orders)",
+                      lambda b, c: order_fails(cols[b], cols[c]), asserted,
+                      lambda b, c, a: abc(a, b, c)),
+        row_law("meet-closed a++ makes true consequents meet-stable", unstable,
+                ((a, b) for a in els if meet_closed_mask(lat, dps[a])
+                 for b in members(true[a])), asserted, abc),
         law("a++ within b++ and a->b = {1} force b->a = {1}",
             lambda a, b: it[b][a] == top,
             ((a, b) for a, b in product(els, els)
@@ -257,31 +269,57 @@ def check_modus_laws(lat: Lattice) -> PropertyReport:
     complemented modular lattice."""
     asserted = is_complemented(lat) and is_modular(lat)
     table = implies_table(lat)
-    it, cm = implies_masks(lat), complement_masks(lat)
-    els, meet, down = lat.elements, lat._meet, lat._down
-    ab = labelled(lat, "ab")
+    it, cm, index = implies_masks(lat), complement_masks(lat), implies_index(lat)
+    els, meet, up, down = lat.elements, lat._meet, lat._up, lat._down
+    ab, full = labelled(lat, "ab"), (1 << lat.n) - 1
+    meets: dict[tuple[int, int], int] = {}
 
     def ponens(a, b):
         return mask_meet(lat, 1 << a, it[a][b])
 
+    def by_value(fails_at):
+        # Row a of a law over (a, b): fails_at(a, v, cols) gives the b of
+        # cols, the b with a->b = v, where it fails; once per distinct v.
+        def fails(a):
+            out = 0
+            for v, cols in index[a]:
+                out |= fails_at(a, v, cols)
+            return out
+        return fails
+
+    def ponens_at(a, v, cols):
+        got, row = mask_meet(lat, 1 << a, v), meet[a]
+        return sum(1 << b for b in members(cols) if got != 1 << row[b])
+
+    def moved_at(a, v, cols):
+        return 0 if implies_mask(lat, 1 << a, v) == v else cols
+
+    def tollens(a):
+        # b+ within the common up-set of a+ is a+ below b+; the pointwise
+        # meet is computed once per distinct pair of masks.
+        above, row, bad = intersect_rows(up, cm[a], full), it[a], 0
+        for b, w in enumerate(cm):
+            if not w & ~above:
+                key = row[b], w
+                if key not in meets:
+                    meets[key] = mask_meet(lat, *key)
+                if meets[key] != cm[a]:
+                    bad |= 1 << b
+        return bad
+
     return PropertyReport("modus laws", (
-        law("modus ponens: a ^ (a->b) = {a^b}",
-            lambda a, b: ponens(a, b) == 1 << meet[a][b],
-            product(els, els), asserted,
-            lambda a, b: f"{ab(a, b)} got={format_element_set(lat, members(ponens(a, b)))}"),
-        law("modus tollens: a+ below b+ gives (a->b) ^ b+ = a+",
-            lambda a, b: mask_meet(lat, it[a][b], cm[b]) == cm[a],
-            ((a, b) for a, b in product(els, els) if mask_le(lat, cm[a], cm[b])),
-            asserted, ab),
+        row_law("modus ponens: a ^ (a->b) = {a^b}", by_value(ponens_at), product(els), asserted,
+                lambda a, b: f"{ab(a, b)} got={format_element_set(lat, members(ponens(a, b)))}"),
+        row_law("modus tollens: a+ below b+ gives (a->b) ^ b+ = a+", tollens,
+                product(els), asserted, ab),
         # The witness is the first failing c in the iteration order of the
         # frozenset a->b.
         law("value stability: c in a->b gives a->c = a->b",
             lambda a, b, c: it[a][c] == it[a][b],
             ((a, b, c) for a, b in product(els, els) for c in table[a][b]),
             asserted, labelled(lat, "abc")),
-        law("self application: a->(a->b) = a->b",
-            lambda a, b: implies_mask(lat, 1 << a, it[a][b]) == it[a][b],
-            product(els, els), asserted, ab),
+        row_law("self application: a->(a->b) = a->b", by_value(moved_at), product(els),
+                asserted, ab),
         law("absorbed antecedent: a+ below b gives a->b = {b}",
             lambda a, b: it[a][b] == 1 << b,
             ((a, b) for a, b in product(els, els) if not cm[a] & ~down[b]),
@@ -333,7 +371,8 @@ def check_conjunction_laws(lat: Lattice) -> PropertyReport:
     els, up, down, meet = lat.elements, lat._up, lat._down, lat._meet
     zero = 1 << lat.bottom
     ab = labelled(lat, "ab")
-    le = _both_orders(lat)
+    order_fails = _order_fails(lat)
+    stays: set[tuple[int, int]] = set()
 
     def got(a, b):
         return f"{ab(a, b)} got={format_element_set(lat, members(ot[a][b]))}"
@@ -343,6 +382,22 @@ def check_conjunction_laws(lat: Lattice) -> PropertyReport:
 
     def order_is_odot(a, b):
         return bool(up[a] >> b & 1) == (ot[a][b] == 1 << a)
+
+    def unmatched(a):
+        # The b where a below b disagrees with a(.)b = {a}, or where
+        # reapplying b moves a(.)b; each pair of b and a value of a(.)b
+        # that stays is remembered, so a row of known pairs is one test.
+        row, single = ot[a], 1 << a
+        bad = up[a] ^ sum(1 << b for b, v in enumerate(row) if v == single)
+        pairs = tuple(zip(row, els))
+        if not stays.issuperset(pairs):
+            for v, b in pairs:
+                if (v, b) not in stays:
+                    if odot_mask(lat, v, 1 << b) == v:
+                        stays.add((v, b))
+                    else:
+                        bad |= 1 << b
+        return bad
 
     return PropertyReport("conjunction laws", (
         law("0 absorbs: 0(.)a = a(.)0 = {0}",
@@ -354,19 +409,15 @@ def check_conjunction_laws(lat: Lattice) -> PropertyReport:
         law("a^b below a(.)b below b; b below a collapses to {b}",
             lambda a, b: bounded(a, b) and (not up[b] >> a & 1 or ot[a][b] == 1 << b),
             product(els, els), comp, lambda a, b: got(a, b) if not bounded(a, b) else ab(a, b)),
-        law("a below b makes a(.)c below b(.)c (both set orders)",
-            lambda a, b, c: le(ot[a][c], ot[b][c]),
-            ((a, b, c) for a, b in product(els, els) if up[a] >> b & 1 for c in els),
-            comp, labelled(lat, "abc")),
+        _monotone_law(lat, "a below b makes a(.)c below b(.)c (both set orders)",
+                      lambda a, b: order_fails(ot[a], ot[b]), comp, labelled(lat, "abc")),
         law("idempotence: a(.)a = {a}", lambda a: ot[a][a] == 1 << a,
             product(els), comp,
             lambda a: f"a={lat.labels[a]} got={format_element_set(lat, members(ot[a][a]))}"),
-        law("a below b iff a(.)b = {a}; (a(.)b)(.)b = a(.)b",
-            lambda a, b: (order_is_odot(a, b)
-                          and odot_mask(lat, ot[a][b], 1 << b) == ot[a][b]),
-            product(els, els), modular,
-            lambda a, b: got(a, b) if not order_is_odot(a, b)
-            else f"{ab(a, b)} reapplication moved"),
+        row_law("a below b iff a(.)b = {a}; (a(.)b)(.)b = a(.)b", unmatched,
+                product(els), modular,
+                lambda a, b: got(a, b) if not order_is_odot(a, b)
+                else f"{ab(a, b)} reapplication moved"),
     ))
 
 

@@ -17,11 +17,17 @@ frozensets of ordered id pairs.
 Theta is memoised on the lattice per subset mask and shared by the five
 checks and the public theta; the compatibility verdict seeds that memo
 from the rows it already holds, so the within-D rows of a system are
-built once. _substitutes takes the intersection of the target rows once
-per distinct implication set, not once per cell of the table. Both the
-within-D rows and the hypothesis step of the verdict read
-connectives.implies_index, so they work on the few distinct values of
-each row of the implication table instead of on its n columns.
+built once. Both the within-D rows and the hypothesis step of the
+verdict read connectives.implies_index, so they work on the few
+distinct values of each row of the implication table instead of on its
+n columns; the hypothesis step splits the table's distinct values,
+memoised per lattice, into those inside and outside D.
+
+Work is done a row at a time where it can be: _substitutes decides a
+relation row by row with two vector operations, _both_ways transposes
+a relation once, the two "intersection closed" laws take one system D
+at a time with one set containment, and "internally
+implication-closed" reads row x of the index for each x in D.
 
 check_substitution_equivalences tests _substitutes only on candidates
 that contain the least equivalence with the implication substitution
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 
@@ -56,7 +63,7 @@ from .core import (Lattice, _positions_above_below, format_element_set,
                    is_complemented, is_modular, meet_closed_mask, members,
                    subset_key, to_mask, to_set)
 from .errors import InvalidParameter, SizeCapExceeded
-from .report import SKIPPED, CheckResult, PropertyReport, law
+from .report import SKIPPED, CheckResult, PropertyReport, law, row_law
 from .setops import intersect_rows
 
 Relation = frozenset
@@ -248,9 +255,13 @@ def _within_rows(lat: Lattice, d: int) -> list[int]:
 
 
 def _both_ways(rows) -> Rows:
-    """The symmetric part of a relation: x relates to y and y to x."""
-    return tuple(sum(1 << y for y in members(row) if rows[y] >> x & 1)
-                 for x, row in enumerate(rows))
+    """The symmetric part of a relation: each row ANDed with the same
+    row of the transpose."""
+    cols = [0] * len(rows)
+    for x, row in enumerate(rows):
+        for y in members(row):
+            cols[y] |= 1 << x
+    return tuple(map(operator.and_, rows, cols))
 
 
 def _theta(lat: Lattice, d: int) -> Rows:
@@ -375,26 +386,43 @@ def has_sp_plus(lat: Lattice, rel: Relation) -> bool:
     return _has_sp_plus(lat, _rows(lat, rel))
 
 
+class _Intersections(dict):
+    """xs -> the AND of rows[x] over the members x of xs, computed on
+    first lookup."""
+
+    def __init__(self, rows, full: int):
+        super().__init__()
+        self.rows, self.full = rows, full
+
+    def __missing__(self, xs: int) -> int:
+        out = self[xs] = intersect_rows(self.rows, xs, self.full)
+        return out
+
+
 def _substitutes(lat: Lattice, rows: Rows, target) -> bool:
     """For (a, b) related by rows and every c, each x in a->c relates by
-    target to each y in b->c: the union of b->c over the row of a lies
-    within the target rows of all members of a->c. That intersection is
-    taken once per distinct implication set a->c."""
-    it, full = implies_masks(lat), (1 << lat.n) - 1
-    allowed: dict[int, int] = {}
-    for a, row in enumerate(rows):
-        bs = members(row)
-        for c, xs in enumerate(it[a]):
-            reach = 0
-            for b in bs:
-                reach |= it[b][c]
-            if reach:
-                try:
-                    common = allowed[xs]
-                except KeyError:
-                    common = allowed[xs] = intersect_rows(target, xs, full)
-                if reach & ~common:
-                    return False
+    target to each y in b->c: reach[c], the union of b->c over the row
+    of a, lies within allow[c], the target rows of all members of a->c
+    intersected. Row a is decided at once: reach | allow equals allow.
+    reach is built once per distinct row and each intersection once per
+    distinct implication set. Rows with more members go first: on the
+    candidates that fail, they are the likeliest to fail."""
+    it = implies_masks(lat)
+    allowed = _Intersections(target, (1 << lat.n) - 1)
+    reaches: dict[int, list[int]] = {}
+    for row, a in sorted(zip(rows, range(len(rows))), key=lambda ra: -ra[0].bit_count()):
+        if not row:
+            continue
+        reach = reaches.get(row)
+        if reach is None:
+            bs = members(row)
+            reach = it[bs[0]]
+            for b in bs[1:]:
+                reach = list(map(operator.or_, reach, it[b]))
+            reaches[row] = reach
+        allow = list(map(allowed.__getitem__, it[a]))
+        if list(map(operator.or_, reach, allow)) != allow:
+            return False
     return True
 
 
@@ -429,14 +457,14 @@ def _compatible_verdict(lat: Lattice, d: int) -> bool:
     # For a hypothesis set X = a->b within d, within(X) holds the t with
     # x->t within d for every x in X; no implication set outside d may
     # lie inside it.
-    inside, outside = set(), set()
-    for row in implies_index(lat):
-        for v, _ in row:
-            (outside if v & ~d else inside).add(v)
-    for xs in inside:
-        within = intersect_rows(sub, xs, full)
-        if any(not m & ~within for m in outside):
-            return False
+    values = lat.memo("implies_values",
+                      lambda: {v for row in implies_index(lat) for v, _ in row})
+    outside = [v for v in values if v & ~d]
+    for xs in values:
+        if not xs & ~d:
+            within = intersect_rows(sub, xs, full)
+            if any(not m & ~within for m in outside):
+                return False
 
     thetas = lat.memo("theta", dict)
     if d not in thetas:
@@ -576,9 +604,22 @@ def _sets(lat: Lattice, *names: str):
                                    for k, m in zip(names, masks))
 
 
+def _intersection_law(lat: Lattice, name: str, family, asserted: bool) -> CheckResult:
+    """law() "D & E in family" over the pairs (D, E) of family, decided
+    one row D at a time."""
+    inside, sets = set(family), _sets(lat, "D", "E")
+
+    def escapes(d):
+        if inside.issuperset([d & e for e in family]):
+            return 0
+        return sum(1 << j for j, e in enumerate(family) if d & e not in inside)
+    return row_law(name, escapes, ((d,) for d in family), asserted,
+                   lambda d, j: sets(d, family[j]))
+
+
 def _within(a: Rows, b: Rows) -> bool:
     """Relation a is contained in relation b."""
-    return not any(x & ~y for x, y in zip(a, b))
+    return all(map(operator.eq, map(operator.and_, a, b), a))
 
 
 @_skips_over_cap("filters vs deductive systems")
@@ -589,11 +630,13 @@ def check_filters_vs_deductive_systems(lat: Lattice,
     comp = is_complemented(lat)
     modular = comp and is_modular(lat)
     systems = [(d,) for d in _deductive_family(lat, cap)[0]]
-    it = implies_masks(lat)
+    index = implies_index(lat)
 
     def implication_closed(d):
-        ids = members(d)
-        return not any(it[x][y] & ~d for x in ids for y in ids)
+        # Row x of the index, for each x in d: no value outside d at a
+        # column inside d.
+        nd = ~d
+        return not any(v & nd and cols & d for x in members(d) for v, cols in index[x])
 
     return (
         law("every deductive system an order filter",
@@ -612,7 +655,6 @@ def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckRe
     and symmetry, and the same closure for compatible systems."""
     comp = is_complemented(lat)
     systems, dsl = _deductive_family(lat, cap)
-    sysset = set(systems)
     compat = [d for d in systems if _is_compatible(lat, d)]
     full = (1 << lat.n) - 1
 
@@ -628,15 +670,13 @@ def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckRe
                     None, comp),
         CheckResult("top is the carrier", systems[dsl.top_index] == full,
                     None, comp),
-        law("intersection closed", lambda a, b: a & b in sysset,
-            itertools.product(systems, repeat=2), comp, _sets(lat, "D", "E")),
+        _intersection_law(lat, "intersection closed", systems, comp),
         law("theta reflexive and symmetric",
             lambda d, rows: reflexive(rows) and _both_ways(rows) == rows,
             ((d, _theta(lat, d)) for d in systems), comp, theta_witness),
         CheckResult("carrier compatible", full in compat, None, comp),
-        law("compatible systems intersection closed",
-            lambda a, b: _is_compatible(lat, a & b) and a & b in sysset,
-            itertools.product(compat, repeat=2), comp, _sets(lat, "D", "E")),
+        # A & B is a compatible system exactly when it is in compat.
+        _intersection_law(lat, "compatible systems intersection closed", compat, comp),
     )
 
 

@@ -3,7 +3,8 @@
 Checks record one CheckResult per law. Results whose hypotheses are not
 met by the lattice under test are reported with asserted=False: they are
 informative but do not count against the verdict. A law is checked by
-law(), which searches its domain for the first counterexample.
+law(), which searches its domain for the first counterexample, or by
+row_law(), which decides a whole row of the domain at once.
 """
 
 from __future__ import annotations
@@ -50,4 +51,18 @@ def law(name: str, pred: Callable[..., bool], tuples: Iterable[tuple],
     for t in tuples:
         if not pred(*t):
             return CheckResult(name, False, witness(*t), asserted)
+    return CheckResult(name, True, None, asserted)
+
+
+def row_law(name: str, fails: Callable[..., int], rows: Iterable[tuple],
+            asserted: bool, witness: Callable[..., str]) -> CheckResult:
+    """law() over the tuples t + (c,), t from rows and c ascending, one
+    row t at a time: fails(*t) is the mask of the c where the law fails,
+    and the witness is witness(*t, c) at the lowest such c, which is the
+    first failing tuple of that scan."""
+    for t in rows:
+        bad = fails(*t)
+        if bad:
+            return CheckResult(name, False, witness(*t, (bad & -bad).bit_length() - 1),
+                               asserted)
     return CheckResult(name, True, None, asserted)

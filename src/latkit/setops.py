@@ -37,6 +37,14 @@ def intersect_rows(rows, m: int, full: int) -> int:
     return acc
 
 
+def union_rows(rows, m: int) -> int:
+    """The OR of rows[x] over the members x of m."""
+    acc = 0
+    for x in members(m):
+        acc |= rows[x]
+    return acc
+
+
 def _pointwise(table, a: int, b: int) -> int:
     ys = members(b)
     out = 0
@@ -63,20 +71,12 @@ def mask_le(lat: Lattice, a: int, b: int) -> bool:
 
 def mask_le1(lat: Lattice, a: int, b: int) -> bool:
     """a within the union of the down-sets of the members of b."""
-    down = lat._down
-    cover = 0
-    for y in members(b):
-        cover |= down[y]
-    return not a & ~cover
+    return not a & ~union_rows(lat._down, b)
 
 
 def mask_le2(lat: Lattice, a: int, b: int) -> bool:
     """b within the union of the up-sets of the members of a."""
-    up = lat._up
-    cover = 0
-    for x in members(a):
-        cover |= up[x]
-    return not b & ~cover
+    return not b & ~union_rows(lat._up, a)
 
 
 def set_join(lat: Lattice, a: frozenset, b: frozenset) -> frozenset:

@@ -650,3 +650,298 @@ def brute_least_substitution(lat: Lattice, it) -> tuple[int, ...]:
                 for x in blk:
                     rows[x] &= m
     return tuple(rows)
+
+
+# -- whole reports by full scans ------------------------------------------
+#
+# Each oracle rebuilds one check's report from frozenset tables (it, ot
+# and comp as the memos hold them) and the lattice's own order and
+# operations, scanning every tuple of each law in the check's order.
+
+def _set_scan(lat: Lattice, name: str, holds, tuples, asserted: bool,
+              letters: str) -> CheckResult:
+    """_scan with the leading subsets of the tuple as witness, "D=.. E=.."."""
+    for t in tuples:
+        if not holds(*t):
+            return CheckResult(name, False, " ".join(
+                f"{k}={format_element_set(lat, s)}" for k, s in zip(letters.split(), t)),
+                asserted)
+    return CheckResult(name, True, None, asserted)
+
+
+def _pointwise(op, a, b) -> frozenset:
+    return frozenset(op(x, y) for x in a for y in b)
+
+
+def _plus(lat: Lattice, comp, s) -> frozenset:
+    out = frozenset(lat.elements)
+    for x in s:
+        out &= comp[x]
+    return out
+
+
+def brute_lattice_axioms(lat: Lattice) -> PropertyReport:
+    els, m, j = lat.elements, lat.meet, lat.join
+    pairs = list(itertools.product(els, repeat=2))
+    return PropertyReport("lattice axioms", (
+        _scan(lat, "meet commutative", lambda a, b: m(a, b) == m(b, a), pairs, True, "ab"),
+        _scan(lat, "join commutative", lambda a, b: j(a, b) == j(b, a), pairs, True, "ab"),
+        _scan(lat, "absorption", lambda a, b: m(a, j(a, b)) == a and j(a, m(a, b)) == a,
+              pairs, True, "ab"),
+        _scan(lat, "order agrees with meet/join",
+              lambda a, b: lat.leq(a, b) == (m(a, b) == a) == (j(a, b) == b), pairs, True, "ab"),
+        _scan(lat, "associativity",
+              lambda a, b, c: m(m(a, b), c) == m(a, m(b, c)) and j(j(a, b), c) == j(a, j(b, c)),
+              itertools.product(els, repeat=3), True, "abc"),
+        CheckResult("bounds", m(lat.bottom, lat.top) == lat.bottom
+                    and j(lat.bottom, lat.top) == lat.top),
+    ))
+
+
+def brute_order_reversal(lat: Lattice, comp) -> PropertyReport:
+    pairs = list(itertools.product(lat.elements, repeat=2))
+    r1 = _scan(lat, "(x^y)+ absorbs x+ v y+ pointwise",
+               lambda x, y: _le1(lat, _pointwise(lat.join, comp[x], comp[y]),
+                                 comp[lat.meet(x, y)]), pairs, False, "xy")
+    r2 = _scan(lat, "x below y reverses complement sets",
+               lambda x, y: not lat.leq(x, y) or _le1(lat, comp[y], comp[x]), pairs, False, "xy")
+    r3 = _scan(lat, "(x v y)+ below x+ ^ y+ pointwise",
+               lambda x, y: _le1(lat, comp[lat.join(x, y)],
+                                 _pointwise(lat.meet, comp[x], comp[y])), pairs, False, "xy")
+    s1, s2, s3 = r1.passed, r2.passed, r3.passed
+    asserted = brute_is_complemented(lat)
+    return PropertyReport("order reversal", (
+        r1, r2, r3,
+        CheckResult("first statement implies second", not s1 or s2,
+                    None if not s1 or s2 else f"s1 holds, s2 fails at {r2.witness}", asserted),
+        CheckResult("second and third equivalent", s2 == s3,
+                    None if s2 == s3 else f"s2={s2} s3={s3}", asserted),
+    ))
+
+
+def brute_implication_laws(lat: Lattice, it, comp) -> PropertyReport:
+    asserted = brute_is_complemented(lat)
+    els, top = lat.elements, frozenset((lat.top,))
+    dps = [_plus(lat, comp, comp[a]) for a in els]
+    pairs = list(itertools.product(els, repeat=2))
+    converse = next(((a, b) for a, b in pairs if it[a][b] == top and not lat.leq(a, b)), None)
+    meet_closed = [all(lat.meet(x, y) in s for x in s for y in s) for s in dps]
+    return PropertyReport("implication laws", (
+        _scan(lat, "a->0 = a+ and 1->a = {a}",
+              lambda a: it[a][lat.bottom] == comp[a] and it[lat.top][a] == {a},
+              ((a,) for a in els), asserted, "a"),
+        _scan(lat, "a below b gives a->b = {1}", lambda a, b: it[a][b] == top,
+              ((a, b) for a, b in pairs if lat.leq(a, b)), asserted, "ab"),
+        _scan(lat, "a->b = {1} iff a^b in a++",
+              lambda a, b: (it[a][b] == top) == (lat.meet(a, b) in dps[a]), pairs, asserted, "ab"),
+        _scan(lat, "b complements a gives a->b = a+", lambda a, b: it[a][b] == comp[a],
+              ((a, b) for a in els for b in comp[a]), asserted, "ab"),
+        brute_implication_monotone(lat, it),
+        _scan(lat, "meet-closed a++ makes true consequents meet-stable",
+              lambda a, b, c: it[a][c] != top or it[a][lat.meet(b, c)] == top,
+              ((a, b, c) for a in els if meet_closed[a] for b in els if it[a][b] == top
+               for c in els), asserted, "abc"),
+        _scan(lat, "a++ within b++ and a->b = {1} force b->a = {1}",
+              lambda a, b: it[b][a] == top,
+              ((a, b) for a, b in pairs if dps[a] <= dps[b] and it[a][b] == top), asserted, "ab"),
+        CheckResult("converse failures of the truth law exist", converse is not None,
+                    None if converse is None else
+                    f"a={lat.labels[converse[0]]} b={lat.labels[converse[1]]}: "
+                    "a->b = {1} without a below b", asserted=False),
+    ))
+
+
+def brute_modus_laws(lat: Lattice, it, comp) -> PropertyReport:
+    asserted = brute_is_complemented(lat) and brute_is_modular(lat)
+    els = lat.elements
+    pairs = list(itertools.product(els, repeat=2))
+
+    def ponens(a, b):
+        return frozenset(lat.meet(a, x) for x in it[a][b])
+
+    def self_applied(a, b):
+        return frozenset(lat.join(x, lat.meet(a, y)) for x in comp[a] for y in it[a][b])
+
+    return PropertyReport("modus laws", (
+        next((CheckResult("modus ponens: a ^ (a->b) = {a^b}", False,
+                          f"a={lat.labels[a]} b={lat.labels[b]} "
+                          f"got={format_element_set(lat, ponens(a, b))}", asserted)
+              for a, b in pairs if ponens(a, b) != {lat.meet(a, b)}),
+             CheckResult("modus ponens: a ^ (a->b) = {a^b}", True, None, asserted)),
+        _scan(lat, "modus tollens: a+ below b+ gives (a->b) ^ b+ = a+",
+              lambda a, b: _pointwise(lat.meet, it[a][b], comp[b]) == comp[a],
+              ((a, b) for a, b in pairs
+               if all(lat.leq(x, y) for x in comp[a] for y in comp[b])), asserted, "ab"),
+        _scan(lat, "value stability: c in a->b gives a->c = a->b",
+              lambda a, b, c: it[a][c] == it[a][b],
+              ((a, b, c) for a, b in pairs for c in it[a][b]), asserted, "abc"),
+        _scan(lat, "self application: a->(a->b) = a->b",
+              lambda a, b: self_applied(a, b) == it[a][b], pairs, asserted, "ab"),
+        _scan(lat, "absorbed antecedent: a+ below b gives a->b = {b}",
+              lambda a, b: it[a][b] == {b},
+              ((a, b) for a, b in pairs if all(lat.leq(x, b) for x in comp[a])), asserted, "ab"),
+    ))
+
+
+def brute_conjunction_laws(lat: Lattice, ot, comp) -> PropertyReport:
+    comped = brute_is_complemented(lat)
+    modular = comped and brute_is_modular(lat)
+    els = lat.elements
+    pairs = list(itertools.product(els, repeat=2))
+    zero = frozenset((lat.bottom,))
+
+    def got(a, b):
+        return f"a={lat.labels[a]} b={lat.labels[b]} got={format_element_set(lat, ot[a][b])}"
+
+    def bounded(a, b):
+        return all(lat.leq(lat.meet(a, b), x) and lat.leq(x, b) for x in ot[a][b])
+
+    def order_is_odot(a, b):
+        return lat.leq(a, b) == (ot[a][b] == {a})
+
+    def reapplied(a, b):
+        return frozenset(lat.meet(b, lat.join(x, y)) for x in ot[a][b] for y in comp[b])
+
+    def first(name, holds, tuples, asserted, witness):
+        return next((CheckResult(name, False, witness(*t), asserted)
+                     for t in tuples if not holds(*t)), CheckResult(name, True, None, asserted))
+
+    return PropertyReport("conjunction laws", (
+        _scan(lat, "0 absorbs: 0(.)a = a(.)0 = {0}",
+              lambda a: ot[lat.bottom][a] == zero and ot[a][lat.bottom] == zero,
+              ((a,) for a in els), comped, "a"),
+        _scan(lat, "1 is a unit: 1(.)a = a(.)1 = {a}",
+              lambda a: ot[lat.top][a] == {a} == ot[a][lat.top], ((a,) for a in els), comped, "a"),
+        first("a^b below a(.)b below b; b below a collapses to {b}",
+              lambda a, b: bounded(a, b) and (not lat.leq(b, a) or ot[a][b] == {b}), pairs,
+              comped, lambda a, b: got(a, b) if not bounded(a, b)
+              else f"a={lat.labels[a]} b={lat.labels[b]}"),
+        brute_conjunction_monotone(lat, ot),
+        first("idempotence: a(.)a = {a}", lambda a: ot[a][a] == {a}, ((a,) for a in els),
+              comped,
+              lambda a: f"a={lat.labels[a]} got={format_element_set(lat, ot[a][a])}"),
+        first("a below b iff a(.)b = {a}; (a(.)b)(.)b = a(.)b",
+              lambda a, b: order_is_odot(a, b) and reapplied(a, b) == ot[a][b], pairs, modular,
+              lambda a, b: got(a, b) if not order_is_odot(a, b)
+              else f"a={lat.labels[a]} b={lat.labels[b]} reapplication moved"),
+    ))
+
+
+# -- deduction reports by full scans --------------------------------------
+
+def _subsets(lat: Lattice):
+    """Every subset of the carrier in (size, ids) order."""
+    return [frozenset(c) for k in range(lat.n + 1)
+            for c in itertools.combinations(lat.elements, k)]
+
+
+def _brute_deductive(lat: Lattice, it, d) -> bool:
+    return lat.top in d and not any(b not in d and it[a][b] <= d
+                                    for a in d for b in lat.elements)
+
+
+def _brute_order_filter(lat: Lattice, f) -> bool:
+    return bool(f) and all(y in f for x in f for y in lat.elements if lat.leq(x, y))
+
+
+def _brute_filter(lat: Lattice, f) -> bool:
+    return _brute_order_filter(lat, f) and all(lat.meet(x, y) in f for x in f for y in f)
+
+
+def brute_system_family(lat: Lattice, it) -> list[frozenset]:
+    """The deductive systems among the order filters, in (size, ids)
+    order: the family the checks enumerate."""
+    return [d for d in _subsets(lat) if _brute_order_filter(lat, d) and _brute_deductive(lat, it, d)]
+
+
+def brute_filters_vs_deductive_systems(lat: Lattice, it) -> PropertyReport:
+    comped = brute_is_complemented(lat)
+    modular = comped and brute_is_modular(lat)
+    systems = [(d,) for d in brute_system_family(lat, it)]
+    return PropertyReport("filters vs deductive systems", (
+        _set_scan(lat, "every deductive system an order filter",
+                  lambda d: _brute_order_filter(lat, d), systems, comped, "D"),
+        _set_scan(lat, "internally implication-closed systems are filters",
+                  lambda d: not all(it[x][y] <= d for x in d for y in d) or _brute_filter(lat, d),
+                  systems, comped, "D"),
+        _set_scan(lat, "every filter a deductive system", lambda f: _brute_deductive(lat, it, f),
+                  ((f,) for f in _subsets(lat) if _brute_filter(lat, f)), modular, "F"),
+    ))
+
+
+def _brute_equivalence(lat: Lattice, rel) -> bool:
+    return (all((x, x) in rel for x in lat.elements) and all((y, x) in rel for x, y in rel)
+            and all((x, z) in rel for x, y in rel for y2, z in rel if y == y2))
+
+
+def brute_deductive_family(lat: Lattice, it) -> PropertyReport:
+    comped = brute_is_complemented(lat)
+    systems = brute_system_family(lat, it)
+    compat = [d for d in systems if brute_is_compatible_ds(lat, it, d)]
+    full = frozenset(lat.elements)
+
+    def theta_bad(d):
+        rel = brute_theta(lat, it, d)
+        if not all((x, x) in rel for x in lat.elements):
+            return "reflexive"
+        return None if all((y, x) in rel for x, y in rel) else "symmetric"
+
+    bad = next(((d, why) for d in systems if (why := theta_bad(d))), None)
+    return PropertyReport("deductive family", (
+        CheckResult("bottom is {1}", systems[0] == {lat.top}, None, comped),
+        CheckResult("top is the carrier", full in systems, None, comped),
+        _set_scan(lat, "intersection closed", lambda a, b: a & b in systems,
+                  itertools.product(systems, repeat=2), comped, "D E"),
+        CheckResult("theta reflexive and symmetric", bad is None, None if bad is None
+                    else f"D={format_element_set(lat, bad[0])} not {bad[1]}", comped),
+        CheckResult("carrier compatible", full in compat, None, comped),
+        _set_scan(lat, "compatible systems intersection closed",
+                  lambda a, b: a & b in systems and brute_is_compatible_ds(lat, it, a & b),
+                  itertools.product(compat, repeat=2), comped, "D E"),
+    ))
+
+
+def brute_compatible_kernel_recovery(lat: Lattice, it) -> PropertyReport:
+    comped = brute_is_complemented(lat)
+    systems = brute_system_family(lat, it)
+    compat = [(d,) for d in systems if brute_is_compatible_ds(lat, it, d)]
+    other = [d for d in systems if not brute_is_compatible_ds(lat, it, d)]
+    theta = {d: brute_theta(lat, it, d) for d in systems}
+    transitive = sum(_brute_equivalence(lat, theta[d]) for d in other)
+    return PropertyReport("compatible kernel recovery", (
+        _set_scan(lat, "theta of compatible systems an equivalence",
+                  lambda d: _brute_equivalence(lat, theta[d]), compat, comped, "D"),
+        _set_scan(lat, "theta of compatible systems has implication substitution",
+                  lambda d: brute_has_sp_implies(lat, theta[d], it), compat, comped, "D"),
+        _set_scan(lat, "kernel of theta recovers the system",
+                  lambda d: frozenset(x for x in lat.elements if (x, lat.top) in theta[d]) == d,
+                  compat, comped, "D"),
+        CheckResult(f"{len(compat)} compatible systems; theta transitive for "
+                    f"{transitive} of {len(other)} non-compatible ones", True, None,
+                    asserted=False),
+    ))
+
+
+def brute_substitution_equivalences(lat: Lattice, it, comp, source, mode: str) -> PropertyReport:
+    """source: the candidate relations as sets of pairs, in the check's
+    order."""
+    comped = brute_is_complemented(lat)
+    kernels = [(frozenset(x for x in lat.elements if (x, lat.top) in rel), rel)
+               for rel in source if brute_has_sp_implies(lat, rel, it)]
+
+    def classes(rel):
+        return len({frozenset(y for x2, y in rel if x2 == x) for x in lat.elements})
+
+    return PropertyReport(f"substitution equivalences ({mode})", (
+        next((CheckResult("implication substitution gives complement substitution", False,
+                          f"classes={classes(rel)}", comped)
+              for _, rel in kernels if not brute_has_sp_plus(rel, comp)),
+             CheckResult("implication substitution gives complement substitution", True,
+                         None, comped)),
+        _set_scan(lat, "kernel a deductive system", lambda k, rel: _brute_deductive(lat, it, k),
+                  kernels, comped, "kernel"),
+        _set_scan(lat, "relation within theta of kernel",
+                  lambda k, rel: rel <= brute_theta(lat, it, k), kernels, comped, "kernel"),
+        CheckResult(f"surveyed {len(kernels)} substitution equivalences", True, None,
+                    asserted=False),
+    ))

@@ -2,6 +2,7 @@
 
 from hypothesis import strategies as st
 
+from latkit.complementation import complement_sets
 from latkit.connectives import implies_table, odot_table
 from latkit.core import Lattice
 from latkit.corpus import direct_product, enumerate_lattices
@@ -16,27 +17,44 @@ def fresh(lat: Lattice) -> Lattice:
 
 
 def corrupted(table, how: str, a: int, b: int, x: int):
-    """table with cell (a, b) emptied, or with the membership of x in it
-    flipped."""
+    """table with cell (a, b) emptied, with the membership of x in it
+    flipped, or holding a copy of cell (a, x)."""
     rows = [list(row) for row in table]
-    rows[a][b] = frozenset() if how == "empty" else rows[a][b] ^ {x}
+    if how == "empty":
+        rows[a][b] = frozenset()
+    elif how == "copy":
+        rows[a][b] = rows[a][x]
+    else:
+        rows[a][b] = rows[a][b] ^ {x}
     return tuple(tuple(row) for row in rows)
 
 
 @st.composite
-def lattices_with_tables(draw):
-    """A lattice of SMALL or the direct product of two, as a fresh Lattice
-    whose implies_table and odot_table memos each hold the real table,
-    the table with one membership of one cell flipped, or the table with
-    one cell emptied."""
+def lattices_with_tables(draw, max_n: int = 36, extended: bool = False):
+    """A lattice of SMALL or the direct product of two with at most max_n
+    elements, as a fresh Lattice whose implies_table and odot_table memos
+    each hold the real table, the table with one membership of one cell
+    flipped, or the table with one cell emptied. Extended, the
+    complement_sets memo (one row) is drawn the same way after them, and
+    each may also hold a cell copied from another cell of its row, which
+    makes a row repeat a value."""
     lat = draw(st.sampled_from(SMALL))
-    if draw(st.booleans()):
-        lat = direct_product(lat, draw(st.sampled_from(SMALL)))
+    others = [m for m in SMALL if lat.n * m.n <= max_n]
+    if others and draw(st.booleans()):
+        lat = direct_product(lat, draw(st.sampled_from(others)))
     work = fresh(lat)
     cell = st.integers(0, lat.n - 1)
-    for key, build in (("implies_table", implies_table), ("odot_table", odot_table)):
-        how = draw(st.sampled_from(("real", "flip", "empty")))
+    memos = [("implies_table", lambda: implies_table(lat)), ("odot_table", lambda: odot_table(lat))]
+    hows = ("real", "flip", "empty")
+    if extended:
+        memos.append(("complement_sets", lambda: (complement_sets(lat),)))
+        hows += ("copy",)
+    for key, build in memos:
+        how = draw(st.sampled_from(hows))
         if how != "real":
-            table = corrupted(build(lat), how, draw(cell), draw(cell), draw(cell))
+            a = 0 if key == "complement_sets" else draw(cell)
+            table = corrupted(build(), how, a, draw(cell), draw(cell))
+            if key == "complement_sets":
+                table = table[0]
             work.memo(key, lambda t=table: t)
     return work

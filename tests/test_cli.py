@@ -183,6 +183,20 @@ def test_max_elements_gate(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv, first", [
+    (["--max-elements", "5"], "fig2 has 12"),
+    (["--corpus", "6", "--max-elements", "5"], "enum6.0 has 6"),
+])
+def test_max_elements_caps_every_swept_lattice(capsys, argv, first):
+    """A sweep stops with exit code 2 at its first lattice over the cap;
+    a cap that every lattice meets changes nothing."""
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and f"error: lattice {first} elements, over the cap 5" in err
+    assert "passed" not in out
+    code, out, _ = run(capsys, "verify", "--corpus", "5", "--max-elements", "5")
+    assert code == 0 and out == run(capsys, "verify", "--corpus", "5")[1]
+
+
 def test_deductive_systems_listing(capsys):
     code, out, _ = run(capsys, "deductive-systems", "--lattice", "M:3")
     assert code == 0

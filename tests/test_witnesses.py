@@ -3,16 +3,22 @@
 give on corrupted tables."""
 
 import hashlib
+import json
+import random
 
 import pytest
 
-from latkit.cli import main
+from latkit.cli import _report_json, main
+from latkit.complementation import complement_sets
 from latkit.connectives import (check_conjunction_laws, check_implication_laws,
                                 check_modus_laws, implies_table, odot_table)
 from latkit.core import Lattice
-from latkit.corpus import make_fig2, make_N5
+from latkit.corpus import default_corpus, make_fig2, make_N5
 from latkit.deduction import (check_filters_vs_deductive_systems,
                               check_substitution_equivalences)
+from latkit.suite import lattice_suite
+
+from .strategies import SMALL, corrupted, fresh
 
 VERIFY_JSON_SHA256 = "d4d759b2b5a2062003525a51750e2e859a4c91bd6bc2faa598cd4b1b2f16093a"
 
@@ -27,6 +33,12 @@ VERIFY_OUTPUT_SHA256 = {
     "verify --seed 0":
         "4ab8579e15efb05c5c596e77e22b27754c380f01720246400cc0d374070a6243",
 }
+
+# sha256 of the JSON form of lattice_suite over the default corpus and
+# every lattice with at most 6 elements, each with its real tables and
+# with one membership flipped or one entry emptied in implies_table,
+# odot_table or complement_sets (273 runs, 705 failing reports).
+CORRUPTED_SUITE_SHA256 = "48efcf771bd0ec6e7b3e7b190945fb3a277fc2120cd684fc054f18cfdad1ee49"
 
 
 def test_verify_json_digest(capsys):
@@ -79,3 +91,32 @@ def test_deduction_witnesses_on_corrupted_tables():
     rep = check_filters_vs_deductive_systems(fig2)
     bad = rep.find("every filter a deductive system")
     assert not rep.ok and bad.witness == "F=1"
+
+
+def suite_variants(lat, rng):
+    """lat with its real tables, then with one cell of implies_table,
+    odot_table or complement_sets flipped or emptied, each placed in the
+    memo of a fresh copy before first use."""
+    yield "real", fresh(lat)
+    for key, table in (("implies_table", implies_table(lat)),
+                       ("odot_table", odot_table(lat)),
+                       ("complement_sets", (complement_sets(lat),))):
+        for how in ("flip", "empty"):
+            a, b, x = (rng.randrange(lat.n) for _ in range(3))
+            if key == "complement_sets":
+                bad = corrupted(table, how, 0, a, x)[0]
+            else:
+                bad = corrupted(table, how, a, b, x)
+            work = fresh(lat)
+            work.memo(key, lambda t=bad: t)
+            yield f"{key} {how}", work
+
+
+def test_corrupted_suite_digest():
+    lats = [e.lattice for e in default_corpus()] + list(SMALL)
+    runs = []
+    for i, lat in enumerate(lats):
+        for tag, work in suite_variants(lat, random.Random(i)):
+            runs.append([lat.name, tag, _report_json(lattice_suite(work))])
+    out = json.dumps(runs, ensure_ascii=False)
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == CORRUPTED_SUITE_SHA256
