@@ -72,8 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-elements", type=int, default=ELEMENT_CAP,
                    help="reject lattices larger than this")
     p.add_argument("--seed", type=int, default=0,
-                   help="seed of the sampled substitution equivalences "
-                        "on lattices above 6 elements")
+                   help="has no effect; accepted so older command lines still run")
     _add_output(p)
 
     p = subs.add_parser("deductive-systems", help="enumerate deductive systems")
@@ -197,7 +196,7 @@ def _verify_results(args: argparse.Namespace):
     if args.lattice is not None or args.file is not None:
         lat = load_source(args)
         name = lat.name or (args.file or "lattice")
-        return [(name, lattice_suite(lat, args.max_subsets, args.max_partitions, args.seed))]
+        return [(name, lattice_suite(lat, args.max_subsets, args.max_partitions))]
     if args.corpus is None:
         entries = default_corpus()
     else:
@@ -215,7 +214,7 @@ def _verify_results(args: argparse.Namespace):
     # first one over it is named.
     for e in entries:
         _check_size(args, e.lattice, e.name)
-    return corpus_suite(entries, args.max_subsets, args.max_partitions, args.seed)
+    return corpus_suite(entries, args.max_subsets, args.max_partitions)
 
 
 def _verify_text(results) -> tuple[str, bool]:

@@ -922,17 +922,61 @@ def brute_compatible_kernel_recovery(lat: Lattice, it) -> PropertyReport:
     ))
 
 
-def brute_substitution_equivalences(lat: Lattice, it, comp, source, mode: str) -> PropertyReport:
-    """source: the candidate relations as sets of pairs, in the check's
-    order."""
+def brute_substitution_family(lat: Lattice, it, cap: int) -> list[frozenset] | None:
+    """Every partition with the implication substitution property, as
+    sets of pairs, in walk order: element k joins each open block in
+    turn, then opens a new one. a and b in one block put every x in
+    it[a][c] in one block with every y in it[b][c]; a branch is pruned
+    once such a constraint fails among placed elements, which only the
+    newest one can have made fail. None when there are more than cap."""
+    n, bid, blocks, out = lat.n, {}, [], []
+
+    def same(x, y):
+        return x not in bid or y not in bid or bid[x] == bid[y]
+
+    def fits(e):
+        for b in blocks[bid[e]]:
+            if not all(same(x, y) for c in range(n) for x in it[e][c] for y in it[b][c]):
+                return False
+        return all(same(e, y) for blk in blocks for a in blk for b in blk
+                   for c in range(n) if e in it[a][c] for y in it[b][c])
+
+    def walk(k):
+        if k == n:
+            out.append(frozenset((a, b) for blk in blocks for a in blk for b in blk))
+            return len(out) <= cap
+        for i in range(len(blocks) + 1):
+            if i == len(blocks):
+                blocks.append([])
+            blocks[i].append(k)
+            bid[k] = i
+            go = not fits(k) or walk(k + 1)
+            blocks[i].pop()
+            del bid[k]
+            if not go:
+                return False
+        blocks.pop()
+        return True
+
+    return out if walk(0) else None
+
+
+def brute_substitution_equivalences(lat: Lattice, it, comp, cap: int) -> PropertyReport:
+    """The report on the family of brute_substitution_family, or its one
+    skipped entry when there are more than cap equivalences."""
+    title = "substitution equivalences (exhaustive)"
+    family = brute_substitution_family(lat, it, cap)
+    if family is None:
+        return PropertyReport(title, (CheckResult(
+            "skipped", True, f"more than {cap} substitution equivalences", asserted=False),))
     comped = brute_is_complemented(lat)
     kernels = [(frozenset(x for x in lat.elements if (x, lat.top) in rel), rel)
-               for rel in source if brute_has_sp_implies(lat, rel, it)]
+               for rel in family]
 
     def classes(rel):
         return len({frozenset(y for x2, y in rel if x2 == x) for x in lat.elements})
 
-    return PropertyReport(f"substitution equivalences ({mode})", (
+    return PropertyReport(title, (
         next((CheckResult("implication substitution gives complement substitution", False,
                           f"classes={classes(rel)}", comped)
               for _, rel in kernels if not brute_has_sp_plus(rel, comp)),

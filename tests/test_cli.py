@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -131,6 +132,20 @@ def test_verify_json(capsys):
     assert checks and all(set(c) == {"name", "passed", "asserted", "witness"}
                           for c in checks)
     assert all(c["passed"] for c in checks if c["asserted"])
+
+
+def test_verify_chain_skips_its_substitution_family(capsys):
+    """A chain has many substitution equivalences (chain:10 has 94,829),
+    so on chain:16 the check stops past its cap at once and reports one
+    skipped entry."""
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "--lattice", "chain:16", "--format", "json")
+    assert code == 0 and time.perf_counter() - start < 1
+    reports = json.loads(out)["lattices"][0]["reports"]
+    rep = next(r for r in reports if r["title"].startswith("substitution equivalences"))
+    assert rep == {"title": "substitution equivalences (exhaustive)", "checks": [
+        {"name": "skipped", "passed": True, "asserted": False,
+         "witness": "more than 1000 substitution equivalences"}]}
 
 
 def test_verify_corpus_sweep(capsys):

@@ -1,4 +1,9 @@
+import ast
+import pathlib
+
 import pytest
+
+import latkit
 
 from latkit.core import is_complemented, is_modular
 from latkit.corpus import (enumerate_lattices, make_boolean, make_chain,
@@ -201,6 +206,21 @@ def test_modular_filters_are_deductive(corpus):
         for f in order_filters(lat):
             if is_filter(lat, f):
                 assert is_deductive_system(lat, f), entry.name
+
+
+def test_boolean_five_has_32_substitution_equivalences():
+    rep = check_substitution_equivalences(make_boolean(5))
+    assert rep.ok
+    assert rep.results[-1].name == "surveyed 32 substitution equivalences"
+
+
+def test_no_module_imports_random():
+    """Every check is exact: nothing in the package draws samples."""
+    for path in pathlib.Path(latkit.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom) else [])
+            assert "random" not in names, path.name
 
 
 def test_chain_systems():

@@ -14,7 +14,7 @@ from latkit.complementation import (check_order_reversal, closed_sets, closure_l
 from latkit.connectives import (check_conjunction_laws, check_implication_laws,
                                 check_modus_laws, implies_table, odot_table)
 from latkit.core import check_lattice_axioms
-from latkit.deduction import (_sample_rows, check_compatible_kernel_recovery,
+from latkit.deduction import (SUBSTITUTION_CAP, check_compatible_kernel_recovery,
                               check_deductive_family, check_filters_vs_deductive_systems,
                               check_substitution_equivalences)
 
@@ -22,7 +22,7 @@ from .oracles import (brute_closure_scan, brute_compatible_kernel_recovery,
                       brute_conjunction_laws, brute_deductive_family,
                       brute_filters_vs_deductive_systems, brute_implication_laws,
                       brute_lattice_axioms, brute_modus_laws, brute_order_reversal,
-                      brute_substitution_equivalences, recursive_partitions)
+                      brute_substitution_equivalences)
 from .strategies import SMALL, corrupted, fresh, lattices_with_tables
 
 
@@ -39,11 +39,6 @@ def test_connective_and_complement_checks_match_full_scans(lat):
         brute_closure_scan(lat, comp, closed_sets(lat))
 
 
-def relation(rows):
-    return frozenset((x, y) for x, row in enumerate(rows) for y in range(len(rows))
-                     if row >> y & 1)
-
-
 @settings(max_examples=40, deadline=None)
 @given(lattices_with_tables(max_n=10, extended=True))
 def test_deduction_checks_match_full_scans(lat):
@@ -51,15 +46,8 @@ def test_deduction_checks_match_full_scans(lat):
     assert check_filters_vs_deductive_systems(lat) == brute_filters_vs_deductive_systems(lat, it)
     assert check_deductive_family(lat) == brute_deductive_family(lat, it)
     assert check_compatible_kernel_recovery(lat) == brute_compatible_kernel_recovery(lat, it)
-    if lat.n <= 6:
-        source = [frozenset((a, b) for blk in part for a in blk for b in blk)
-                  for part in recursive_partitions(lat.n)]
-        mode = "exhaustive"
-    else:
-        source = [relation(rows) for rows in _sample_rows(lat, 150, 0)]
-        mode = "150 sampled"
     assert check_substitution_equivalences(lat) == \
-        brute_substitution_equivalences(lat, it, comp, source, mode)
+        brute_substitution_equivalences(lat, it, comp, SUBSTITUTION_CAP)
 
 
 def with_cell(table, a, b, x):

@@ -2,6 +2,7 @@
 frozenset definitions, foreign ids at the boundary, and no mask leaking
 out of the public API."""
 
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from latkit.complementation import complement_sets
 from latkit.connectives import implies_table
 from latkit.core import members
 from latkit.corpus import default_corpus, make_boolean
-from latkit.deduction import (_pairs, _sample_rows, all_partitions,
+from latkit.deduction import (_pairs, _substitution_family, all_partitions,
                               check_compatible_kernel_recovery,
                               check_deductive_family,
                               check_filters_vs_deductive_systems,
@@ -147,12 +148,29 @@ def test_deduction_masks_match_brute_force():
     assert verdicts == {True, False, ("sp", True), ("sp", False)}
 
 
+def collapses(lat):
+    """Every equivalence that merges one pair of elements, then every
+    join of two of them, without repeats."""
+    pairs = list(itertools.combinations(lat.elements, 2))
+    out = {}
+    for ps in itertools.chain(((p,) for p in pairs), itertools.combinations(pairs, 2)):
+        blocks = [{x} for x in lat.elements]
+        for a, b in ps:
+            merged = blocks[a] | blocks[b]
+            for x in merged:
+                blocks[x] = merged
+        out.setdefault(relation_of_blocks(map(frozenset, blocks)), None)
+    return list(out)
+
+
 def test_deduction_fast_paths_match_brute_force_above_8_elements():
     """fig2 (12 elements), B:4 (16) and M:8 (10) take members() past one
     byte and fill the theta memo, with the real implication table and
     with a corrupted one seeded on a fresh lattice before the first call.
     Theta comes first on the real table and the compatibility verdict,
-    which seeds the memo, first on the corrupted one."""
+    which seeds the memo, first on the corrupted one. The relations are
+    every single-pair collapse, every join of two, the exact family of
+    substitution equivalences and the thetas."""
     rng = random.Random(11)
     verdicts = set()
     for lat in (make_fig2(), make_boolean(4), make_Mn(8)):
@@ -171,7 +189,8 @@ def test_deduction_fast_paths_match_brute_force_above_8_elements():
                 assert thetas[-1] == brute_theta(work, it, d), (lat, d)
                 assert ok == brute_is_compatible_ds(work, it, d), (lat, d)
                 verdicts.add(ok)
-            for rel in [_pairs(rows) for rows in _sample_rows(work, 150, 0)] + thetas:
+            for rel in collapses(work) + [_pairs(rows) for rows in _substitution_family(work)] \
+                    + thetas:
                 sp = has_sp_implies(work, rel)
                 assert sp == brute_has_sp_implies(work, rel, it), (lat, rel)
                 verdicts.add(("sp", sp))

@@ -1,6 +1,6 @@
 """The implication index and what reads it: the residuation laws decided
 one (a, b) row at a time, the within-D rows, and the least substitution
-equivalence that filters the candidates of check_substitution_equivalences."""
+equivalence from which check_substitution_equivalences builds its family."""
 
 import random
 
@@ -13,12 +13,13 @@ from latkit.connectives import (check_adjointness, check_conjunction_laws,
 from latkit.core import is_complemented, members
 from latkit.corpus import (default_corpus, enumerate_lattices, make_boolean,
                            make_fig2, make_Mn)
-from latkit.deduction import (_least_substitution_rows, _partition_rows,
-                              _sample_rows, _substitutes, _within, _within_rows)
+from latkit.deduction import (_block_rows, _least_substitution_rows,
+                              _substitution_family, _substitutes, _within_rows)
 
 from .oracles import (brute_adjointness, brute_conjunction_monotone,
                       brute_diamond_residuation, brute_implication_meet_link,
-                      brute_implication_monotone, brute_least_substitution)
+                      brute_implication_monotone, brute_least_substitution,
+                      recursive_partitions)
 from .strategies import SMALL, corrupted, fresh, lattices_with_tables
 
 
@@ -82,7 +83,7 @@ def test_implies_index_rebuilds_implies_masks():
 
 
 def test_least_substitution_rows_match_partition_filter():
-    """The worklist closure equals the intersection of every partition
+    """The closure of the identity equals the intersection of every partition
     with the implication substitution property, on every lattice with
     at most 7 elements, real and with flipped or emptied cells."""
     rng = random.Random(29)
@@ -97,20 +98,19 @@ def test_least_substitution_rows_match_partition_filter():
 
 
 def test_least_closure_drops_no_substitution_equivalence():
-    """The candidates kept by the containment filter that pass
-    _substitutes are all those that pass it: on the default corpus at
-    seeds 0 to 3, and on every complemented lattice with 7 or 8
-    elements."""
-    lats = [e.lattice for e in default_corpus()]
+    """The family grown from the least closure lists every partition that
+    passes _substitutes, in the order of the partition walk: on the
+    default corpus up to 9 elements and on every complemented lattice
+    with 7 or 8 elements."""
+    lats = [e.lattice for e in default_corpus() if e.lattice.n <= 9]
     lats += [lat for n in (7, 8) for lat in enumerate_lattices(n, cap=8)
              if is_complemented(lat)]
-    kept = 0
+    assert len(lats) == 13 + 89
+    walks = {n: [_block_rows(n, p) for p in recursive_partitions(n)]
+             for n in {lat.n for lat in lats}}
+    sizes = set()
     for lat in lats:
-        least = _least_substitution_rows(lat)
-        for seed in range(4) if lat.n > 6 else (0,):
-            source = _partition_rows(lat.n) if lat.n <= 6 else _sample_rows(lat, 150, seed)
-            passing = [rows for rows in source if _substitutes(lat, rows, rows)]
-            assert [rows for rows in source
-                    if _within(least, rows) and _substitutes(lat, rows, rows)] == passing, lat
-            kept += len(passing)
-    assert kept
+        passing = [rows for rows in walks[lat.n] if _substitutes(lat, rows, rows)]
+        assert _substitution_family(lat) == passing, lat
+        sizes.add(len(passing))
+    assert {1, 2, 8} <= sizes

@@ -20,16 +20,16 @@ from latkit.suite import lattice_suite
 
 from .strategies import SMALL, corrupted, fresh
 
-VERIFY_JSON_SHA256 = "d4d759b2b5a2062003525a51750e2e859a4c91bd6bc2faa598cd4b1b2f16093a"
+VERIFY_JSON_SHA256 = "2b42af97c3efa374bf6aef12799fe6de17a2705a0d1c61308b7458954f26d11a"
 
 # sha256 of the standard output of three more verify runs: the
 # complemented lattices up to 7 elements, the largest diamond of the
 # builtins, and the text report of the default corpus.
 VERIFY_OUTPUT_SHA256 = {
     "verify --corpus 7 --seed 3 --format json":
-        "46a61c2f9f68c3e0539c12d16433146e12413ad6ba2fcd0b73a427b9611d5816",
+        "2bd5a279ccb0bd2bfde841288e167d596d5eb13b6e2aef472788c490ed0495b2",
     "verify --lattice M:8 --format json":
-        "0b242b44a4e43f3368d51a7041b52d7c81843b366fc32907290442351a1b6d37",
+        "f6fabdc3413c49b6e9ed86e136ad04624d2fb3a5e9a03b83025bd394ca15b435",
     "verify --seed 0":
         "4ab8579e15efb05c5c596e77e22b27754c380f01720246400cc0d374070a6243",
 }
@@ -37,8 +37,24 @@ VERIFY_OUTPUT_SHA256 = {
 # sha256 of the JSON form of lattice_suite over the default corpus and
 # every lattice with at most 6 elements, each with its real tables and
 # with one membership flipped or one entry emptied in implies_table,
-# odot_table or complement_sets (273 runs, 705 failing reports).
-CORRUPTED_SUITE_SHA256 = "48efcf771bd0ec6e7b3e7b190945fb3a277fc2120cd684fc054f18cfdad1ee49"
+# odot_table or complement_sets (273 runs, 706 failing reports).
+CORRUPTED_SUITE_SHA256 = "e28da5e9705651a664805fb840546ae806401ee3f7825e9c9e9eb6087930c1ed"
+
+
+# Equivalences with the implication substitution property on each
+# default-corpus lattice, all of them, at every size.
+SUBSTITUTION_COUNTS = {"N5": 4, "M3": 1, "fig2": 2, "M:2": 4, "M:4": 1, "M:5": 1, "M:6": 1,
+                       "B:1": 2, "B:3": 8, "B:4": 16, "enum6.0": 4, "enum6.1": 4,
+                       "enum6.2": 4, "enum6.3": 1, "enum6.4": 2}
+
+
+def test_default_corpus_substitution_reports_are_exhaustive():
+    for e in default_corpus():
+        rep = check_substitution_equivalences(e.lattice)
+        assert rep.title == "substitution equivalences (exhaustive)", e.name
+        assert rep.results[-1].name == \
+            f"surveyed {SUBSTITUTION_COUNTS[e.name]} substitution equivalences", e.name
+        assert rep.ok and all(r.asserted for r in rep.results[:-1]), e.name
 
 
 def test_verify_json_digest(capsys):
