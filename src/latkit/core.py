@@ -69,6 +69,23 @@ def _upper_covers(up) -> list[int]:
     return covers
 
 
+def _closed_masks(ids, needs, start: int = 0) -> list[int]:
+    """Every mask start | S, S a subset of ids, in which each member e of
+    S has needs[e] within start and the members of S before it. Each id
+    in turn is taken, when its needs are held, before it is left out, and
+    the masks come in the order of that walk."""
+    masks = [start]
+    for e in ids:
+        need, bit = needs[e], 1 << e
+        grown = []
+        for m in masks:
+            if not need & ~m:
+                grown.append(m | bit)
+            grown.append(m)
+        masks = grown
+    return masks
+
+
 def _positions_above_below(masks):
     """For each family member p, the bitsets over family positions of the
     members containing it and of the members it contains, built from the
@@ -103,7 +120,7 @@ class Lattice:
     """
 
     __slots__ = ("n", "labels", "name", "bottom", "top",
-                 "_up", "_down", "_meet", "_join", "_covers", "_memo")
+                 "_up", "_down", "_meet", "_join", "_memo")
 
     def __init__(self, labels, up_masks, name: str = ""):
         labels = tuple(str(x) for x in labels)
@@ -178,8 +195,6 @@ class Lattice:
                         pair=(a, b))
                 join[a][b] = join[b][a] = g
 
-        cov_up = _upper_covers(up)
-
         self.n = n
         self.labels = labels
         self.name = name
@@ -189,7 +204,6 @@ class Lattice:
         self._down = down
         self._meet = tuple(tuple(r) for r in meet)
         self._join = tuple(tuple(r) for r in join)
-        self._covers = tuple((i, j) for i in range(n) for j in members(cov_up[i]))
         self._memo = {}
 
     # -- construction ------------------------------------------------
@@ -275,8 +289,9 @@ class Lattice:
             raise InvalidParameter(f"no element labelled {label!r}") from None
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Hasse edges as (lower, upper) id pairs, sorted."""
-        return self._covers
+        """Hasse edges as (lower, upper) id pairs, sorted; memoised."""
+        return self.memo("covers", lambda: tuple(
+            (i, j) for i, m in enumerate(_upper_covers(self._up)) for j in members(m)))
 
     def up_set(self, a: int) -> frozenset:
         return to_set(self._up[a])

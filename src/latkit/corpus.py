@@ -21,8 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .complementation import satisfies_dblplus_identity
-from .core import (ELEMENT_CAP, Lattice, canonical_form, is_complemented,
-                   is_distributive, is_isomorphic, is_modular, members)
+from .core import (ELEMENT_CAP, Lattice, _closed_masks, canonical_form,
+                   is_complemented, is_distributive, is_isomorphic, is_modular,
+                   members)
 from .errors import InvalidParameter, SizeCapExceeded
 
 ENUM_CAP = 7
@@ -186,23 +187,8 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
                 lat.memo("canonical_key", lambda: key)
                 out.append(lat)
             return
-        if k == n - 1:
-            choices = [full ^ (1 << k)]
-        else:
-            base = 1  # everything sits above the bottom
-            pool = [j for j in range(1, k)]
-            choices = []
-
-            def grow(idx: int, mask: int):
-                if idx == len(pool):
-                    choices.append(mask)
-                    return
-                j = pool[idx]
-                if downs[j] & ~mask == 0:
-                    grow(idx + 1, mask | (1 << j))
-                grow(idx + 1, mask)
-
-            grow(0, base)
+        # Everything sits above the bottom, and the top above all else.
+        choices = [full ^ (1 << k)] if k == n - 1 else _closed_masks(range(1, k), downs, 1)
         for m in choices:
             downs[k] = m
             if all(m >> j & 1 or meet_exists(j, k) for j in range(k)) \
@@ -213,8 +199,8 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
     def reached_earlier(k: int, m: int) -> bool:
         # With no bit of m in j..k-1, k is incomparable to all of j..k-1, so
         # moving it to position j gives another natural labelling of every
-        # completion. grow yields m before downs[j] when m holds the lowest
-        # differing bit, so the walk meets that isomorph first. Positions
+        # completion. _closed_masks yields m before downs[j] when m holds the
+        # lowest differing bit, so the walk meets that isomorph first. Positions
         # j >= m.bit_length() are exactly those with no bit of m in j..k-1.
         for j in range(m.bit_length(), k):
             d = m ^ downs[j]

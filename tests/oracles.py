@@ -869,9 +869,16 @@ def brute_filters_vs_deductive_systems(lat: Lattice, it) -> PropertyReport:
     ))
 
 
-def _brute_equivalence(lat: Lattice, rel) -> bool:
+def brute_is_equivalence(lat: Lattice, rel) -> bool:
     return (all((x, x) in rel for x in lat.elements) and all((y, x) in rel for x, y in rel)
             and all((x, z) in rel for x, y in rel for y2, z in rel if y == y2))
+
+
+def brute_is_meet_congruence(lat: Lattice, rel) -> bool:
+    """An equivalence such that (a, b) related puts a ^ c and b ^ c in
+    relation for every c."""
+    return brute_is_equivalence(lat, rel) and all(
+        (lat.meet(a, c), lat.meet(b, c)) in rel for a, b in rel for c in lat.elements)
 
 
 def brute_deductive_family(lat: Lattice, it) -> PropertyReport:
@@ -907,10 +914,10 @@ def brute_compatible_kernel_recovery(lat: Lattice, it) -> PropertyReport:
     compat = [(d,) for d in systems if brute_is_compatible_ds(lat, it, d)]
     other = [d for d in systems if not brute_is_compatible_ds(lat, it, d)]
     theta = {d: brute_theta(lat, it, d) for d in systems}
-    transitive = sum(_brute_equivalence(lat, theta[d]) for d in other)
+    transitive = sum(brute_is_equivalence(lat, theta[d]) for d in other)
     return PropertyReport("compatible kernel recovery", (
         _set_scan(lat, "theta of compatible systems an equivalence",
-                  lambda d: _brute_equivalence(lat, theta[d]), compat, comped, "D"),
+                  lambda d: brute_is_equivalence(lat, theta[d]), compat, comped, "D"),
         _set_scan(lat, "theta of compatible systems has implication substitution",
                   lambda d: brute_has_sp_implies(lat, theta[d], it), compat, comped, "D"),
         _set_scan(lat, "kernel of theta recovers the system",

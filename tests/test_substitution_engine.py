@@ -1,0 +1,115 @@
+"""One substitution engine over three tables: is_meet_congruence,
+has_sp_plus and has_sp_implies against their definitions on arbitrary
+relations and corrupted tables, and the kernel closure of
+find_meet_congruence_with_kernel against the first kernel match of the
+partition walk."""
+
+import itertools
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latkit.complementation import complement_sets
+from latkit.connectives import implies_table
+from latkit.core import to_set
+from latkit.corpus import enumerate_lattices, make_boolean, make_fig2
+from latkit.deduction import (PARTITION_CAP, _kernel, _meet_congruence_rows,
+                              _pairs, all_partitions,
+                              find_meet_congruence_with_kernel, has_sp_implies,
+                              has_sp_plus, is_meet_congruence,
+                              relation_of_blocks)
+
+from .oracles import (brute_has_sp_implies, brute_has_sp_plus,
+                      brute_is_equivalence, brute_is_meet_congruence)
+from .strategies import SMALL, lattices_with_tables
+
+
+def verdicts(lat, rels) -> set:
+    """Each relation decided three ways, each verdict against its
+    definition; the (name, equivalence, verdict) triples seen."""
+    comp, it = complement_sets(lat), implies_table(lat)
+    seen = set()
+    for rel in rels:
+        equivalence = brute_is_equivalence(lat, rel)
+        for name, fast, slow in (
+                ("sp+", has_sp_plus(lat, rel), brute_has_sp_plus(rel, comp)),
+                ("sp->", has_sp_implies(lat, rel), brute_has_sp_implies(lat, rel, it)),
+                ("meet", is_meet_congruence(lat, rel), brute_is_meet_congruence(lat, rel))):
+            assert fast == slow, (lat, name, sorted(rel))
+            seen.add((name, equivalence, fast))
+    return seen
+
+
+@settings(max_examples=60, deadline=None)
+@given(lattices_with_tables(max_n=16, extended=True), st.data())
+def test_three_tables_match_their_definitions(lat, data):
+    """The identity, the full relation, a drawn partition, the partition
+    with a few pairs toggled, and an arbitrary set of pairs, on tables
+    that may be corrupted."""
+    ids = st.integers(0, lat.n - 1)
+    labels = data.draw(st.lists(ids, min_size=lat.n, max_size=lat.n))
+    blocks = relation_of_blocks(
+        [frozenset(x for x in lat.elements if labels[x] == k) for k in set(labels)])
+    toggled = blocks ^ data.draw(st.frozensets(st.tuples(ids, ids), max_size=3))
+    drawn = data.draw(st.frozensets(st.tuples(ids, ids)))
+    identity = frozenset((x, x) for x in lat.elements)
+    full = frozenset((x, y) for x in lat.elements for y in lat.elements)
+    verdicts(lat, [identity, full, blocks, toggled, drawn])
+
+
+def test_verdicts_meet_both_answers_on_both_kinds_of_relation():
+    """Every lattice with 2 to 5 elements, on every partition, each
+    partition with one pair toggled, and every relation of at most two
+    pairs: each routine says yes and no to an equivalence, and the
+    substitution properties also say yes and no to a relation that is
+    not one."""
+    rng = random.Random(5)
+    seen = set()
+    for lat in SMALL:
+        if lat.n > 5:
+            continue
+        rels = [relation_of_blocks(p) for p in all_partitions(lat.n)]
+        rels += [rel ^ {(rng.randrange(lat.n), rng.randrange(lat.n))} for rel in rels]
+        pairs = list(itertools.product(lat.elements, repeat=2))
+        rels += map(frozenset, itertools.combinations(pairs, 1))
+        rels += map(frozenset, itertools.combinations(pairs, 2))
+        seen |= verdicts(lat, rels)
+    assert seen == {(name, equivalence, verdict) for name in ("sp+", "sp->", "meet")
+                    for equivalence in (True, False) for verdict in (True, False)
+                    if equivalence or verdict is False or name != "meet"}
+
+
+def first_kernel_matches(lat, cap: int) -> dict:
+    """Kernel mask -> the first meet congruence with that kernel in the
+    order of the partition walk."""
+    firsts = {}
+    for rows in _meet_congruence_rows(lat, cap):
+        firsts.setdefault(_kernel(lat, rows), _pairs(rows))
+    return firsts
+
+
+def test_kernel_closure_matches_the_walk_on_every_subset():
+    """Every subset of every lattice with 2 to 7 elements."""
+    found = tried = 0
+    for n in range(2, 8):
+        for lat in enumerate_lattices(n):
+            firsts = first_kernel_matches(lat, PARTITION_CAP)
+            for m in range(1 << n):
+                want = firsts.get(m)
+                assert find_meet_congruence_with_kernel(lat, to_set(m)) == want, (lat, m)
+                found += want is not None
+                tried += 1
+    assert (found, tried) == (499, 7948)
+
+
+def test_kernel_closure_matches_the_walk_past_the_partition_cap():
+    """fig2 (12 elements) on every subset and B:4 (16) on every subset
+    holding the top, against the walk run with a cap of 16."""
+    for lat, top_only in ((make_fig2(), False), (make_boolean(4), True)):
+        firsts = first_kernel_matches(lat, 16)
+        assert len(firsts) > 1
+        for m in range(1 << lat.n):
+            if top_only and not m >> lat.top & 1:
+                continue
+            assert find_meet_congruence_with_kernel(lat, to_set(m)) == firsts.get(m), (lat, m)
