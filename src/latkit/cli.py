@@ -85,8 +85,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source(p)
     p.add_argument("-o", "--output", metavar="PATH")
 
-    # Values the commands read that some subcommands have no option for.
-    parser.set_defaults(max_subsets=SUBSET_CAP, max_elements=ELEMENT_CAP)
+    # The size cap load_source reads, for subcommands that have no option for it.
+    parser.set_defaults(max_elements=ELEMENT_CAP)
     return parser
 
 
@@ -265,7 +265,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_deductive_systems(args: argparse.Namespace) -> int:
     lat = load_source(args)
-    dsl = all_deductive_systems(lat, args.max_subsets)
+    dsl = all_deductive_systems(lat)
     compat = [is_compatible_ds(lat, d) for d in dsl.systems]
     boolean = ds_lattice_is_boolean_2n(lat) if is_mn_shaped(lat) else None
 

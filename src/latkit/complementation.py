@@ -10,9 +10,10 @@ are called closed; they form a complete ortholattice under inclusion.
 Inside the package a subset is an int mask (bit x for element x):
 plus_mask is the operator, and complement_masks, dblplus_masks and
 closed_masks are the memoised tables the checks read. complement_masks
-is derived from the memoised complement_sets, so a table placed in that
-memo reaches every check. The public functions take and return
-frozensets of ids.
+is computed from the order and everything else is derived from it;
+complement_sets is its memoised frozenset view, which no check reads.
+So a table placed in the complement_masks memo reaches every check and
+every view. The public functions take and return frozensets of ids.
 """
 
 from __future__ import annotations
@@ -40,20 +41,19 @@ from .report import CheckResult, PropertyReport, law
 from .setops import intersect_rows, mask_join, union_rows
 
 
-def complement_sets(lat: Lattice) -> tuple[frozenset, ...]:
-    """Per-element complement sets, memoised on the lattice."""
+def complement_masks(lat: Lattice) -> tuple[int, ...]:
+    """The complements of every element as masks, memoised."""
     def compute():
         join, meet, top, bottom = lat._join, lat._meet, lat.top, lat.bottom
-        return tuple(frozenset(x for x in lat.elements
-                               if join[a][x] == top and meet[a][x] == bottom)
+        return tuple(sum(1 << x for x in lat.elements
+                         if join[a][x] == top and meet[a][x] == bottom)
                      for a in lat.elements)
-    return lat.memo("complement_sets", compute)
+    return lat.memo("complement_masks", compute)
 
 
-def complement_masks(lat: Lattice) -> tuple[int, ...]:
-    """complement_sets as masks, memoised from the memoised sets."""
-    return lat.memo("complement_masks", lambda: tuple(
-        sum(1 << x for x in s) for s in complement_sets(lat)))
+def complement_sets(lat: Lattice) -> tuple[frozenset, ...]:
+    """complement_masks as frozensets, memoised."""
+    return lat.memo("complement_sets", lambda: tuple(map(to_set, complement_masks(lat))))
 
 
 def plus_mask(lat: Lattice, m: int) -> int:

@@ -6,12 +6,15 @@ because complements are not unique; on subsets they act pointwise through
 set_join/set_meet. "implies(a, b) is true" always means the set equals
 the singleton of the top element.
 
-The checks read implies_masks and odot_masks, the tables as int masks,
-which are derived from the memoised implies_table and odot_table; a
-table placed in those memos reaches every check. implies_index, derived
-from implies_masks in turn, lists for each a the distinct values of a->c
-with the mask of the c that give each; a row of the table takes only a
-few distinct values.
+Each operation has one definition, on int masks: implies_mask and
+odot_mask. implies_masks and odot_masks, the memoised tables the checks
+read, apply it to every pair of singletons; implies, odot, implies_sets
+and odot_sets convert at the boundary, and implies_table and odot_table
+are memoised frozenset views of the mask tables, which no check reads.
+So a table placed in the implies_masks or odot_masks memo reaches every
+check and every view. implies_index, derived from implies_masks, lists
+for each a the distinct values of a->c with the mask of the c that give
+each; a row of the table takes only a few distinct values.
 
 The costliest laws are decided a row at a time by report.row_law, and
 the lowest failing coordinate of a row gives the first failing tuple of
@@ -28,25 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .complementation import complement_masks, complement_sets, dblplus_masks, plus_mask
+from .complementation import complement_masks, dblplus_masks, plus_mask
 from .core import (Lattice, check_ids, format_element_set, is_complemented, is_modular,
                    labelled, meet_closed_mask, members, to_mask, to_set)
 from .report import CheckResult, PropertyReport, law, row_law
 from .setops import intersect_rows, mask_join, mask_le1, mask_le2, mask_meet
-
-
-def implies(lat: Lattice, a: int, b: int) -> frozenset:
-    """a+ v (a ^ b). Raises InvalidParameter for an id outside 0..n-1."""
-    check_ids(lat, a, b)
-    join, m = lat._join, lat._meet[a][b]
-    return frozenset(join[x][m] for x in complement_sets(lat)[a])
-
-
-def odot(lat: Lattice, a: int, b: int) -> frozenset:
-    """b ^ (a v b+). Raises InvalidParameter for an id outside 0..n-1."""
-    check_ids(lat, a, b)
-    join, meet = lat._join, lat._meet
-    return frozenset(meet[b][join[a][x]] for x in complement_sets(lat)[b])
 
 
 def implies_mask(lat: Lattice, a: int, b: int) -> int:
@@ -57,6 +46,18 @@ def implies_mask(lat: Lattice, a: int, b: int) -> int:
 def odot_mask(lat: Lattice, a: int, b: int) -> int:
     """odot_sets on masks: b ^ (a v plus(b)) pointwise."""
     return mask_meet(lat, b, mask_join(lat, a, plus_mask(lat, b)))
+
+
+def implies(lat: Lattice, a: int, b: int) -> frozenset:
+    """a+ v (a ^ b). Raises InvalidParameter for an id outside 0..n-1."""
+    check_ids(lat, a, b)
+    return to_set(implies_mask(lat, 1 << a, 1 << b))
+
+
+def odot(lat: Lattice, a: int, b: int) -> frozenset:
+    """b ^ (a v b+). Raises InvalidParameter for an id outside 0..n-1."""
+    check_ids(lat, a, b)
+    return to_set(odot_mask(lat, 1 << a, 1 << b))
 
 
 def implies_sets(lat: Lattice, a: frozenset, b: frozenset) -> frozenset:
@@ -78,32 +79,28 @@ def implies_union(lat: Lattice, x: int, s: frozenset) -> frozenset:
     return to_set(out)
 
 
-def implies_table(lat: Lattice) -> tuple[tuple[frozenset, ...], ...]:
-    def compute():
-        return tuple(tuple(implies(lat, a, b) for b in lat.elements)
-                     for a in lat.elements)
-    return lat.memo("implies_table", compute)
-
-
-def odot_table(lat: Lattice) -> tuple[tuple[frozenset, ...], ...]:
-    def compute():
-        return tuple(tuple(odot(lat, a, b) for b in lat.elements)
-                     for a in lat.elements)
-    return lat.memo("odot_table", compute)
-
-
-def _table_masks(table) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(sum(1 << x for x in s) for s in row) for row in table)
-
-
 def implies_masks(lat: Lattice) -> tuple[tuple[int, ...], ...]:
-    """implies_table as masks, memoised from the memoised table."""
-    return lat.memo("implies_masks", lambda: _table_masks(implies_table(lat)))
+    """a->b for every pair as masks, memoised."""
+    return lat.memo("implies_masks", lambda: tuple(
+        tuple(implies_mask(lat, 1 << a, 1 << b) for b in lat.elements) for a in lat.elements))
 
 
 def odot_masks(lat: Lattice) -> tuple[tuple[int, ...], ...]:
-    """odot_table as masks, memoised from the memoised table."""
-    return lat.memo("odot_masks", lambda: _table_masks(odot_table(lat)))
+    """a(.)b for every pair as masks, memoised."""
+    return lat.memo("odot_masks", lambda: tuple(
+        tuple(odot_mask(lat, 1 << a, 1 << b) for b in lat.elements) for a in lat.elements))
+
+
+def implies_table(lat: Lattice) -> tuple[tuple[frozenset, ...], ...]:
+    """implies_masks as frozensets, memoised."""
+    return lat.memo("implies_table", lambda: tuple(
+        tuple(map(to_set, row)) for row in implies_masks(lat)))
+
+
+def odot_table(lat: Lattice) -> tuple[tuple[frozenset, ...], ...]:
+    """odot_masks as frozensets, memoised."""
+    return lat.memo("odot_table", lambda: tuple(
+        tuple(map(to_set, row)) for row in odot_masks(lat)))
 
 
 def implies_index(lat: Lattice) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -201,7 +198,7 @@ def check_implication_laws(lat: Lattice) -> PropertyReport:
     informational survey of converse failures for the second law."""
     asserted = is_complemented(lat)
     it = implies_masks(lat)
-    cs, cm, dps = complement_sets(lat), complement_masks(lat), dblplus_masks(lat)
+    cm, dps = complement_masks(lat), dblplus_masks(lat)
     els, top, up, meet = lat.elements, 1 << lat.top, lat._up, lat._meet
     ab, abc = labelled(lat, "ab"), labelled(lat, "abc")
     cols, order_fails = tuple(zip(*it)), _order_fails(lat)
@@ -223,10 +220,8 @@ def check_implication_laws(lat: Lattice) -> PropertyReport:
         law("a->b = {1} iff a^b in a++",
             lambda a, b: (it[a][b] == top) == bool(dps[a] >> meet[a][b] & 1),
             product(els, els), asserted, ab),
-        # The witness is the first failing b in the iteration order of the
-        # frozenset cs[a].
         law("b complements a gives a->b = a+", lambda a, b: it[a][b] == cm[a],
-            ((a, b) for a in els for b in cs[a]), asserted, ab),
+            ((a, b) for a in els for b in members(cm[a])), asserted, ab),
         _monotone_law(lat, "b below c makes a->b below a->c (both set orders)",
                       lambda b, c: order_fails(cols[b], cols[c]), asserted,
                       lambda b, c, a: abc(a, b, c)),
@@ -268,7 +263,6 @@ def check_modus_laws(lat: Lattice) -> PropertyReport:
     """Modus ponens and tollens and the stability laws of implication on a
     complemented modular lattice."""
     asserted = is_complemented(lat) and is_modular(lat)
-    table = implies_table(lat)
     it, cm, index = implies_masks(lat), complement_masks(lat), implies_index(lat)
     els, meet, up, down = lat.elements, lat._meet, lat._up, lat._down
     ab, full = labelled(lat, "ab"), (1 << lat.n) - 1
@@ -312,11 +306,9 @@ def check_modus_laws(lat: Lattice) -> PropertyReport:
                 lambda a, b: f"{ab(a, b)} got={format_element_set(lat, members(ponens(a, b)))}"),
         row_law("modus tollens: a+ below b+ gives (a->b) ^ b+ = a+", tollens,
                 product(els), asserted, ab),
-        # The witness is the first failing c in the iteration order of the
-        # frozenset a->b.
         law("value stability: c in a->b gives a->c = a->b",
             lambda a, b, c: it[a][c] == it[a][b],
-            ((a, b, c) for a, b in product(els, els) for c in table[a][b]),
+            ((a, b, c) for a, b in product(els, els) for c in members(it[a][b])),
             asserted, labelled(lat, "abc")),
         row_law("self application: a->(a->b) = a->b", by_value(moved_at), product(els),
                 asserted, ab),

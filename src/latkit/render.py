@@ -45,10 +45,12 @@ def render_op_table(lat: Lattice, which: str) -> str:
 
 
 def to_dot(lat: Lattice) -> str:
-    """Hasse diagram as a DOT digraph with bottom-up ranks."""
+    """Hasse diagram as a DOT digraph with bottom-up ranks; a backslash or
+    double quote in a label is escaped."""
     lines = ["digraph hasse {", "  rankdir=BT;"]
     for x in lat.elements:
-        lines.append(f'  n{x} [label="{lat.label(x)}"];')
+        label = lat.label(x).replace("\\", "\\\\").replace('"', '\\"')
+        lines.append(f'  n{x} [label="{label}"];')
     for lo, hi in sorted(lat.covers()):
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")

@@ -735,7 +735,7 @@ def brute_implication_laws(lat: Lattice, it, comp) -> PropertyReport:
         _scan(lat, "a->b = {1} iff a^b in a++",
               lambda a, b: (it[a][b] == top) == (lat.meet(a, b) in dps[a]), pairs, asserted, "ab"),
         _scan(lat, "b complements a gives a->b = a+", lambda a, b: it[a][b] == comp[a],
-              ((a, b) for a in els for b in comp[a]), asserted, "ab"),
+              ((a, b) for a in els for b in sorted(comp[a])), asserted, "ab"),
         brute_implication_monotone(lat, it),
         _scan(lat, "meet-closed a++ makes true consequents meet-stable",
               lambda a, b, c: it[a][c] != top or it[a][lat.meet(b, c)] == top,
@@ -774,7 +774,7 @@ def brute_modus_laws(lat: Lattice, it, comp) -> PropertyReport:
                if all(lat.leq(x, y) for x in comp[a] for y in comp[b])), asserted, "ab"),
         _scan(lat, "value stability: c in a->b gives a->c = a->b",
               lambda a, b, c: it[a][c] == it[a][b],
-              ((a, b, c) for a, b in pairs for c in it[a][b]), asserted, "abc"),
+              ((a, b, c) for a, b in pairs for c in sorted(it[a][b])), asserted, "abc"),
         _scan(lat, "self application: a->(a->b) = a->b",
               lambda a, b: self_applied(a, b) == it[a][b], pairs, asserted, "ab"),
         _scan(lat, "absorbed antecedent: a+ below b gives a->b = {b}",

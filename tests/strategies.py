@@ -16,6 +16,22 @@ def fresh(lat: Lattice) -> Lattice:
     return Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements], name=lat.name)
 
 
+_MASK_KEYS = {"complement_sets": "complement_masks", "implies_table": "implies_masks",
+              "odot_table": "odot_masks"}
+
+
+def place(work: Lattice, key: str, table) -> None:
+    """Put table, a complement_sets, implies_table or odot_table of id
+    sets, into the fresh lattice work as the mask table every check and
+    view reads; the memo must not hold that table yet."""
+    mask = lambda s: sum(1 << x for x in s)
+    if key == "complement_sets":
+        masks = tuple(map(mask, table))
+    else:
+        masks = tuple(tuple(map(mask, row)) for row in table)
+    assert work.memo(_MASK_KEYS[key], lambda: masks) is masks, key
+
+
 def corrupted(table, how: str, a: int, b: int, x: int):
     """table with cell (a, b) emptied, with the membership of x in it
     flipped, or holding a copy of cell (a, x)."""
@@ -32,10 +48,10 @@ def corrupted(table, how: str, a: int, b: int, x: int):
 @st.composite
 def lattices_with_tables(draw, max_n: int = 36, extended: bool = False):
     """A lattice of SMALL or the direct product of two with at most max_n
-    elements, as a fresh Lattice whose implies_table and odot_table memos
-    each hold the real table, the table with one membership of one cell
+    elements, as a fresh Lattice whose implies_table and odot_table each
+    are the real table, the table with one membership of one cell
     flipped, or the table with one cell emptied. Extended, the
-    complement_sets memo (one row) is drawn the same way after them, and
+    complement_sets table (one row) is drawn the same way after them, and
     each may also hold a cell copied from another cell of its row, which
     makes a row repeat a value."""
     lat = draw(st.sampled_from(SMALL))
@@ -56,5 +72,5 @@ def lattices_with_tables(draw, max_n: int = 36, extended: bool = False):
             table = corrupted(build(), how, a, draw(cell), draw(cell))
             if key == "complement_sets":
                 table = table[0]
-            work.memo(key, lambda t=table: t)
+            place(work, key, table)
     return work

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -251,6 +252,17 @@ def test_export_dot(capsys, tmp_path):
     assert code == 0 and out == ""
     text = target.read_text(encoding="utf-8")
     assert text.count(" -> ") == 22 and text.startswith("digraph")
+
+
+def test_export_dot_escapes_labels(capsys, tmp_path):
+    src = tmp_path / "quoted.lat"
+    src.write_text('lattice quoted\nelements: 0 a"b c\\d 1\n'
+                   'covers: 0<a"b a"b<1 0<c\\d c\\d<1\n', encoding="utf-8")
+    code, out, _ = run(capsys, "export-dot", "--file", str(src))
+    assert code == 0
+    labels = re.findall(r'\[label="((?:[^"\\]|\\.)*)"\];', out)
+    assert sorted(labels) == sorted(["0", 'a\\"b', "c\\\\d", "1"])
+    assert out.count("label=") == 4 and out.count(" -> ") == 4
 
 
 def test_file_source_roundtrip(capsys, tmp_path):

@@ -18,6 +18,7 @@ from latkit.corpus import (enumerate_lattices, make_boolean, make_chain,
 from latkit.errors import InvalidParameter
 
 from .oracles import brute_closed_sets, brute_galois_report, brute_plus
+from .strategies import place
 
 POOL = [make_N5(), make_M3(), make_boolean(3), make_fig2()]
 
@@ -196,7 +197,7 @@ def test_galois_laws_match_frozenset_reference():
 def with_complement_table(lat, table):
     """A fresh copy of lat whose memo holds the given complement sets."""
     out = Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements], name=lat.name)
-    out.memo("complement_sets", lambda: tuple(frozenset(s) for s in table))
+    place(out, "complement_sets", table)
     return out
 
 

@@ -20,6 +20,7 @@ from latkit.errors import InvalidParameter, NotALattice
 
 from .oracles import (bounded_posets, brute_covers, brute_join, brute_meet,
                       first_lattice_per_class, first_missing_bound, relabel)
+from .strategies import place
 
 # sha256 over one line per lattice, repr((labels, up masks)), in output order,
 # of enumerate_lattices(n) for n = 2..9, as recorded before candidates that
@@ -176,8 +177,8 @@ def test_substitution_witness_counts_classes():
     comp = list(complement_sets(n5))
     comp[0] = comp[0] | {2}
     lat = Lattice(n5.labels, [n5.up_mask(i) for i in n5.elements], name=n5.name)
-    lat.memo("implies_table", lambda: implies_table(n5))
-    lat.memo("complement_sets", lambda: tuple(comp))
+    place(lat, "implies_table", implies_table(n5))
+    place(lat, "complement_sets", comp)
     rep = check_substitution_equivalences(lat)
     bad = rep.find("implication substitution gives complement substitution")
     assert not rep.ok and not bad.passed and bad.witness == "classes=2"

@@ -23,7 +23,7 @@ from .oracles import (brute_closure_scan, brute_compatible_kernel_recovery,
                       brute_filters_vs_deductive_systems, brute_implication_laws,
                       brute_lattice_axioms, brute_modus_laws, brute_order_reversal,
                       brute_substitution_equivalences)
-from .strategies import SMALL, corrupted, fresh, lattices_with_tables
+from .strategies import SMALL, corrupted, fresh, lattices_with_tables, place
 
 
 @settings(max_examples=80, deadline=None)
@@ -84,7 +84,7 @@ def test_repeated_row_values_match_full_scans():
             for key, build in (("implies_table", implies_table), ("odot_table", odot_table)):
                 work = fresh(lat)
                 table = corrupted(build(lat), "copy", a, b2, b1)
-                work.memo(key, lambda t=table: t)
+                place(work, key, table)
                 it, ot, comp = implies_table(work), odot_table(work), complement_sets(work)
                 assert check_modus_laws(work) == brute_modus_laws(work, it, comp), (lat, a)
                 assert check_implication_laws(work) == brute_implication_laws(work, it, comp)

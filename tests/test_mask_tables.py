@@ -1,0 +1,72 @@
+"""The complement, implication and conjunction tables are computed as
+masks; the frozenset tables are views that no check reads, so witnesses
+follow ascending ids, and the README's examples still hold."""
+
+import re
+from pathlib import Path
+
+from latkit import implies, make_fig2, plus
+from latkit.cli import main
+from latkit.complementation import complement_sets
+from latkit.connectives import check_implication_laws, check_modus_laws, implies_table
+from latkit.corpus import default_corpus
+from latkit.suite import lattice_suite
+
+from .strategies import fresh, place
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_verify_builds_no_frozenset_table():
+    for e in default_corpus():
+        lat = fresh(e.lattice)
+        lattice_suite(lat)
+        views = {"complement_sets", "implies_table", "odot_table"} & set(lat._memo)
+        assert not views, (e.name, views)
+
+
+def test_witnesses_take_the_lowest_id():
+    """fig2 has 12 elements, and frozenset({3, 9}) iterates 9 before 3.
+    With a+ = {c, i} (ids 3 and 9) and a->c, a->i both emptied, the
+    complement law fails at both; with 0->0 = {c, i}, value stability
+    fails at both c. The witness is c."""
+    fig2 = make_fig2()
+    c, i = fig2.id_of("c"), fig2.id_of("i")
+    assert list(frozenset((c, i))) == [i, c]
+
+    work = fresh(fig2)
+    comp = list(complement_sets(fig2))
+    comp[1] = frozenset((c, i))
+    it = [list(row) for row in implies_table(fig2)]
+    it[1][c] = it[1][i] = frozenset()
+    place(work, "complement_sets", comp)
+    place(work, "implies_table", it)
+    bad = check_implication_laws(work).find("b complements a gives a->b = a+")
+    assert not bad.passed and bad.witness == "a=a b=c"
+
+    work = fresh(fig2)
+    it = [list(row) for row in implies_table(fig2)]
+    it[0][0] = frozenset((c, i))
+    assert frozenset((c, i)) not in (it[0][c], it[0][i])
+    place(work, "implies_table", it)
+    bad = check_modus_laws(work).find("value stability: c in a->b gives a->c = a->b")
+    assert not bad.passed and bad.witness == "a=0 b=0 c=c"
+
+
+def test_readme_examples_hold(capsys):
+    """Each `$ latkit` command in the README that shows output prints
+    exactly that output, and the library comments on fig2 are true."""
+    text = README.read_text(encoding="utf-8")
+    shown = re.findall(r"^\$ latkit ([^\n#]+)\n((?:[^$`\n][^\n]*\n)+)", text, re.M)
+    assert len(shown) == 3
+    for command, output in shown:
+        assert main(command.split()) == 0, command
+        assert capsys.readouterr().out == output, command
+
+    lat = make_fig2()
+    ids = lambda labels: frozenset(map(lat.id_of, labels))
+    g, h = lat.id_of("g"), lat.id_of("h")
+    assert "plus(lat, frozenset((g,)))        # frozenset of the ids of b, c, d" in text
+    assert plus(lat, frozenset((g,))) == ids("bcd")
+    assert 'implies(lat, g, lat.id_of("h"))   # the set h, i, j' in text
+    assert implies(lat, g, h) == ids("hij")

@@ -33,6 +33,7 @@ from .oracles import (brute_closure_scan, brute_has_sp_implies,
                       brute_has_sp_plus, brute_is_compatible_ds,
                       brute_set_join, brute_set_le, brute_set_le1,
                       brute_set_le2, brute_set_meet, brute_theta)
+from .strategies import place
 
 SET_OPS = ((set_join, brute_set_join), (set_meet, brute_set_meet),
            (set_le, brute_set_le), (set_le1, brute_set_le1),
@@ -96,7 +97,7 @@ def test_closure_lattice_matches_frozenset_scan():
         for variant in range(4):
             work = fresh(lat)
             table = toggled(rng, complement_sets(lat), lat.n, 1 + variant)
-            work.memo("complement_sets", lambda t=table: t)
+            place(work, "complement_sets", table)
             family = list(closed_sets(work))
             if variant >= 2 and len(family) > 3:
                 for _ in range(variant - 1):
@@ -132,7 +133,7 @@ def test_deduction_masks_match_brute_force():
             plain = fresh(lat)
             corrupt = fresh(lat)
             table = [toggled(rng, row, n, 2) for row in implies_table(lat)]
-            corrupt.memo("implies_table", lambda t=tuple(table): t)
+            place(corrupt, "implies_table", table)
             for work in (plain, corrupt):
                 it, comp = implies_table(work), complement_sets(work)
                 for d in subsets(work):
@@ -176,7 +177,7 @@ def test_deduction_fast_paths_match_brute_force_above_8_elements():
     for lat in (make_fig2(), make_boolean(4), make_Mn(8)):
         plain, corrupt = fresh(lat), fresh(lat)
         table = tuple(toggled(rng, row, lat.n, 2) for row in implies_table(lat))
-        corrupt.memo("implies_table", lambda t=table: t)
+        place(corrupt, "implies_table", table)
         for work in (plain, corrupt):
             it = implies_table(work)
             thetas = []
@@ -229,7 +230,7 @@ def test_deduction_results_do_not_depend_on_call_order():
             for steps in (forward, forward[::-1]):
                 work = fresh(lat)
                 if corrupted:
-                    work.memo("implies_table", lambda t=table: t)
+                    place(work, "implies_table", table)
                 runs.append(run(work, steps))
             assert runs[0] == runs[1], (lat, corrupted)
 

@@ -20,7 +20,7 @@ from .oracles import (brute_adjointness, brute_conjunction_monotone,
                       brute_diamond_residuation, brute_implication_meet_link,
                       brute_implication_monotone, brute_least_substitution,
                       recursive_partitions)
-from .strategies import SMALL, corrupted, fresh, lattices_with_tables
+from .strategies import SMALL, corrupted, fresh, lattices_with_tables, place
 
 
 @settings(max_examples=80, deadline=None)
@@ -46,7 +46,7 @@ def variants(lat, rng):
         for _ in range(2):
             table = corrupted(table, how, *(rng.randrange(lat.n) for _ in range(3)))
         work = fresh(lat)
-        work.memo("implies_table", lambda t=table: t)
+        place(work, "implies_table", table)
         yield work
 
 

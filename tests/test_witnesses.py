@@ -18,7 +18,7 @@ from latkit.deduction import (check_filters_vs_deductive_systems,
                               check_substitution_equivalences)
 from latkit.suite import lattice_suite
 
-from .strategies import SMALL, corrupted, fresh
+from .strategies import SMALL, corrupted, fresh, place
 
 VERIFY_JSON_SHA256 = "2b42af97c3efa374bf6aef12799fe6de17a2705a0d1c61308b7458954f26d11a"
 
@@ -80,8 +80,8 @@ def with_corrupted_tables(lat):
     it[lat.top][1] = frozenset((lat.top,))
     ot[1][1] = frozenset((lat.bottom,))
     out = Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements], name=lat.name)
-    out.memo("implies_table", lambda: tuple(tuple(r) for r in it))
-    out.memo("odot_table", lambda: tuple(tuple(r) for r in ot))
+    place(out, "implies_table", it)
+    place(out, "odot_table", ot)
     return out
 
 
@@ -124,7 +124,7 @@ def suite_variants(lat, rng):
             else:
                 bad = corrupted(table, how, a, b, x)
             work = fresh(lat)
-            work.memo(key, lambda t=bad: t)
+            place(work, key, bad)
             yield f"{key} {how}", work
 
 
