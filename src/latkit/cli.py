@@ -188,9 +188,11 @@ def cmd_op_table(args: argparse.Namespace) -> int:
 
 
 def _verify_results(args: argparse.Namespace):
-    # A cap below one turns every capped check into a passing skip.
+    # A cap below one turns every capped check into a passing skip, or
+    # rejects every lattice as too large.
     for flag, cap in (("--max-subsets", args.max_subsets),
-                      ("--max-partitions", args.max_partitions)):
+                      ("--max-partitions", args.max_partitions),
+                      ("--max-elements", args.max_elements)):
         if cap < 1:
             raise InvalidParameter(f"{flag} must be positive, got {cap}")
     if args.lattice is not None or args.file is not None:

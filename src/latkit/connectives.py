@@ -6,15 +6,18 @@ because complements are not unique; on subsets they act pointwise through
 set_join/set_meet. "implies(a, b) is true" always means the set equals
 the singleton of the top element.
 
-Each operation has one definition, on int masks: implies_mask and
-odot_mask. implies_masks and odot_masks, the memoised tables the checks
-read, apply it to every pair of singletons; implies, odot, implies_sets
-and odot_sets convert at the boundary, and implies_table and odot_table
-are memoised frozenset views of the mask tables, which no check reads.
-So a table placed in the implies_masks or odot_masks memo reaches every
-check and every view. implies_index, derived from implies_masks, lists
-for each a the distinct values of a->c with the mask of the c that give
-each; a row of the table takes only a few distinct values.
+Each operation has one definition on sets, on int masks: implies_mask
+and odot_mask; implies, odot, implies_sets and odot_sets convert at the
+boundary. implies_masks and odot_masks, the memoised tables the checks
+read, evaluate it on singletons from the complement_masks memo: row a of
+-> is keyed by a ^ b and lists a+ once, column b of (.) lists b+ once.
+implies_table and odot_table are memoised frozenset views of the mask
+tables, which no check reads. A table placed in the complement_masks
+memo reaches both tables, and one placed in the implies_masks or
+odot_masks memo reaches every check and every view. implies_index,
+derived from implies_masks, lists for each a the distinct values of
+a->c with the mask of the c that give each; a row of the table takes
+only a few distinct values.
 
 The costliest laws are decided a row at a time by report.row_law, and
 the lowest failing coordinate of a row gives the first failing tuple of
@@ -80,15 +83,39 @@ def implies_union(lat: Lattice, x: int, s: frozenset) -> frozenset:
 
 
 def implies_masks(lat: Lattice) -> tuple[tuple[int, ...], ...]:
-    """a->b for every pair as masks, memoised."""
-    return lat.memo("implies_masks", lambda: tuple(
-        tuple(implies_mask(lat, 1 << a, 1 << b) for b in lat.elements) for a in lat.elements))
+    """a->b for every pair as masks, memoised: a+ v {a ^ b}, so row a
+    lists a+ once and computes one cell per distinct a ^ b."""
+    def compute():
+        join, table = lat._join, []
+        for meet_a, comp in zip(lat._meet, complement_masks(lat)):
+            joins = [join[x] for x in members(comp)]
+            cells: dict[int, int] = {}
+            for m in set(meet_a):
+                v = 0
+                for row in joins:
+                    v |= 1 << row[m]
+                cells[m] = v
+            table.append(tuple(map(cells.__getitem__, meet_a)))
+        return tuple(table)
+    return lat.memo("implies_masks", compute)
 
 
 def odot_masks(lat: Lattice) -> tuple[tuple[int, ...], ...]:
-    """a(.)b for every pair as masks, memoised."""
-    return lat.memo("odot_masks", lambda: tuple(
-        tuple(odot_mask(lat, 1 << a, 1 << b) for b in lat.elements) for a in lat.elements))
+    """a(.)b for every pair as masks, memoised: {b} ^ ({a} v b+), so
+    column b lists b+ once; the columns are transposed into rows."""
+    def compute():
+        join, cols = lat._join, []
+        for meet_b, comp in zip(lat._meet, complement_masks(lat)):
+            ys = members(comp)
+            col = []
+            for join_a in join:
+                v = 0
+                for y in ys:
+                    v |= 1 << meet_b[join_a[y]]
+                col.append(v)
+            cols.append(col)
+        return tuple(zip(*cols))
+    return lat.memo("odot_masks", compute)
 
 
 def implies_table(lat: Lattice) -> tuple[tuple[frozenset, ...], ...]:

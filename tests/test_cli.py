@@ -173,6 +173,24 @@ def test_verify_rejects_vacuous_runs(capsys, argv):
     assert "passed" not in out
 
 
+@pytest.mark.parametrize("cap", ["0", "-1"])
+@pytest.mark.parametrize("source", [[], ["--lattice", "N5"], ["--file", "x.lat"],
+                                    ["--corpus", "5"]])
+def test_verify_rejects_max_elements_below_one(capsys, monkeypatch, cap, source):
+    """The cap is refused as a flag before any lattice is built or
+    enumerated, not reported as a lattice over it."""
+    import latkit.cli as climod
+
+    def built(*_):
+        raise AssertionError("a lattice was built")
+    for name in ("named_lattice", "load_lattice_file", "default_corpus",
+                 "enumerate_lattices"):
+        monkeypatch.setattr(climod, name, built)
+    code, out, err = run(capsys, "verify", *source, "--max-elements", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: --max-elements must be positive, got {cap}\n"
+
+
 def test_verify_reports_failures(capsys, monkeypatch):
     import latkit.cli as climod
     bad = PropertyReport("doctored", (CheckResult("always wrong", False,

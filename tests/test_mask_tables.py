@@ -1,6 +1,8 @@
 """The complement, implication and conjunction tables are computed as
 masks; the frozenset tables are views that no check reads, so witnesses
-follow ascending ids, and the README's examples still hold."""
+follow ascending ids, and the README's examples still hold. The -> and
+(.) tables, built a row or a column at a time, equal the set-level
+implies_mask and odot_mask cell for cell, on corrupted complements too."""
 
 import re
 from pathlib import Path
@@ -8,13 +10,52 @@ from pathlib import Path
 from latkit import implies, make_fig2, plus
 from latkit.cli import main
 from latkit.complementation import complement_sets
-from latkit.connectives import check_implication_laws, check_modus_laws, implies_table
-from latkit.corpus import default_corpus
+from latkit.connectives import (check_implication_laws, check_modus_laws, implies_mask,
+                                implies_masks, implies_table, odot_mask, odot_masks)
+from latkit.corpus import default_corpus, enumerate_lattices
 from latkit.suite import lattice_suite
 
 from .strategies import fresh, place
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def assert_tables_match_the_set_definition(work):
+    it, ot = implies_masks(work), odot_masks(work)
+    for a in work.elements:
+        for b in work.elements:
+            cell = (work.name, a, b)
+            assert it[a][b] == implies_mask(work, 1 << a, 1 << b), cell
+            assert ot[a][b] == odot_mask(work, 1 << a, 1 << b), cell
+
+
+def test_tables_match_the_set_definition():
+    """Every lattice on 2 to 7 elements, complemented or not, so rows
+    with no complement and empty cells occur, and the default corpus."""
+    lats = [lat for n in range(2, 8) for lat in enumerate_lattices(n)]
+    assert len(lats) == 77
+    assert any(0 in row for lat in lats for row in implies_masks(lat))
+    for lat in lats + [fresh(e.lattice) for e in default_corpus()]:
+        assert_tables_match_the_set_definition(lat)
+
+
+def test_tables_read_a_placed_complement_table():
+    """On every corpus lattice with at most 8 elements, a complement
+    table with each row flipped, and one with the odd rows emptied, reach
+    both tables, which still equal the set definition cell for cell."""
+    for e in default_corpus():
+        lat = e.lattice
+        if lat.n > 8:
+            continue
+        comp = complement_sets(lat)
+        everything = frozenset(lat.elements)
+        for rows in ([everything - row for row in comp],
+                     [frozenset() if a % 2 else row for a, row in enumerate(comp)]):
+            work = fresh(lat)
+            place(work, "complement_sets", rows)
+            assert implies_masks(work) != implies_masks(lat), e.name
+            assert odot_masks(work) != odot_masks(lat), e.name
+            assert_tables_match_the_set_definition(work)
 
 
 def test_verify_builds_no_frozenset_table():
