@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .complementation import satisfies_dblplus_identity
+from .complementation import complement_masks, dblplus_masks, satisfies_dblplus_identity
 from .connectives import is_mn_shaped
 from .core import (ELEMENT_CAP, Lattice, _positions_above_below, _upper_covers,
                    is_complemented, is_distributive, is_modular,
@@ -157,14 +157,12 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_plus_table(args: argparse.Namespace) -> int:
-    from .complementation import double_plus, plus
     lat = load_source(args)
     if args.fmt == "json":
         _emit(args, json.dumps({
             "elements": [lat.label(x) for x in lat.elements],
-            "plus": [_set_labels(lat, plus(lat, frozenset((x,)))) for x in lat.elements],
-            "dblplus": [_set_labels(lat, double_plus(lat, frozenset((x,))))
-                        for x in lat.elements],
+            "plus": [_set_labels(lat, members(m)) for m in complement_masks(lat)],
+            "dblplus": [_set_labels(lat, members(m)) for m in dblplus_masks(lat)],
         }, ensure_ascii=False, indent=2))
     else:
         _emit(args, render_plus_table(lat))
@@ -286,7 +284,7 @@ def cmd_deductive_systems(args: argparse.Namespace) -> int:
         mark = "  (compatible)" if c else ""
         lines.append(f"  S{i} = {_braced(lat, d)}{mark}")
     if args.lattice_of:
-        above, _ = _positions_above_below(dsl._masks)
+        above, _ = _positions_above_below(dsl.masks)
         edges = [f"S{i} < S{j}" for i, m in enumerate(_upper_covers(above))
                  for j in members(m)]
         lines.append("inclusion covers: " + ("; ".join(edges) if edges else "none"))

@@ -10,10 +10,10 @@ are called closed; they form a complete ortholattice under inclusion.
 Inside the package a subset is an int mask (bit x for element x):
 plus_mask is the operator, and complement_masks, dblplus_masks and
 closed_masks are the memoised tables the checks read. complement_masks
-is computed from the order and everything else is derived from it;
-complement_sets is its memoised frozenset view, which no check reads.
-So a table placed in the complement_masks memo reaches every check and
-every view. The public functions take and return frozensets of ids.
+is computed from the order and everything else is derived from it, so a
+table placed in the complement_masks memo reaches every check. The
+public functions take and return frozensets of ids, converted from the
+masks on each call; no frozenset table is memoised.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ def complement_masks(lat: Lattice) -> tuple[int, ...]:
 
 
 def complement_sets(lat: Lattice) -> tuple[frozenset, ...]:
-    """complement_masks as frozensets, memoised."""
-    return lat.memo("complement_sets", lambda: tuple(map(to_set, complement_masks(lat))))
+    """complement_masks as frozensets, converted on each call."""
+    return tuple(map(to_set, complement_masks(lat)))
 
 
 def plus_mask(lat: Lattice, m: int) -> int:
@@ -70,7 +70,7 @@ def dblplus_masks(lat: Lattice) -> tuple[int, ...]:
 def complements(lat: Lattice, a: int) -> frozenset:
     """The complements of a. Raises InvalidParameter for an id outside 0..n-1."""
     check_ids(lat, a)
-    return complement_sets(lat)[a]
+    return to_set(complement_masks(lat)[a])
 
 
 def plus(lat: Lattice, a: frozenset) -> frozenset:
@@ -139,8 +139,8 @@ def closed_masks(lat: Lattice) -> tuple[int, ...]:
 
 
 def closed_sets(lat: Lattice) -> tuple[frozenset, ...]:
-    """closed_masks as frozensets, memoised."""
-    return lat.memo("closed_sets", lambda: tuple(to_set(m) for m in closed_masks(lat)))
+    """closed_masks as frozensets, converted on each call."""
+    return tuple(map(to_set, closed_masks(lat)))
 
 
 @dataclass(frozen=True)
@@ -238,7 +238,7 @@ def closure_lattice(lat: Lattice) -> ClosureReport:
                 if not s & ~t and masks[ortho[j]] & ~masks[o]:
                     violations.append(f"orthocomplement not antitone: {fmt(s)}, {fmt(t)}")
 
-    return ClosureReport(closed_sets(lat), tuple(tuple(r) for r in meet),
+    return ClosureReport(tuple(map(to_set, masks)), tuple(tuple(r) for r in meet),
                          tuple(tuple(r) for r in join),
                          tuple(ortho), tuple(violations))
 

@@ -11,8 +11,8 @@ and odot_mask; implies, odot, implies_sets and odot_sets convert at the
 boundary. implies_masks and odot_masks, the memoised tables the checks
 read, evaluate it on singletons from the complement_masks memo: row a of
 -> is keyed by a ^ b and lists a+ once, column b of (.) lists b+ once.
-implies_table and odot_table are memoised frozenset views of the mask
-tables, which no check reads. A table placed in the complement_masks
+implies_table and odot_table convert the mask tables to frozensets on
+each call; no check reads them. A table placed in the complement_masks
 memo reaches both tables, and one placed in the implies_masks or
 odot_masks memo reaches every check and every view. implies_index,
 derived from implies_masks, lists for each a the distinct values of
@@ -119,15 +119,13 @@ def odot_masks(lat: Lattice) -> tuple[tuple[int, ...], ...]:
 
 
 def implies_table(lat: Lattice) -> tuple[tuple[frozenset, ...], ...]:
-    """implies_masks as frozensets, memoised."""
-    return lat.memo("implies_table", lambda: tuple(
-        tuple(map(to_set, row)) for row in implies_masks(lat)))
+    """implies_masks as frozensets, converted on each call."""
+    return tuple(tuple(map(to_set, row)) for row in implies_masks(lat))
 
 
 def odot_table(lat: Lattice) -> tuple[tuple[frozenset, ...], ...]:
-    """odot_masks as frozensets, memoised."""
-    return lat.memo("odot_table", lambda: tuple(
-        tuple(map(to_set, row)) for row in odot_masks(lat)))
+    """odot_masks as frozensets, converted on each call."""
+    return tuple(tuple(map(to_set, row)) for row in odot_masks(lat))
 
 
 def implies_index(lat: Lattice) -> tuple[tuple[tuple[int, int], ...], ...]:

@@ -258,7 +258,7 @@ class Lattice:
 
     @property
     def universe(self) -> frozenset:
-        return self.memo("universe", lambda: frozenset(range(self.n)))
+        return frozenset(self.elements)
 
     # The queries below reject foreign ids; loops inside the package
     # index _up, _down, _meet and _join directly instead.
@@ -280,6 +280,7 @@ class Lattice:
         return self._join[a][b]
 
     def label(self, a: int) -> str:
+        check_ids(self, a)
         return self.labels[a]
 
     def id_of(self, label: str) -> int:
@@ -294,15 +295,19 @@ class Lattice:
             (i, j) for i, m in enumerate(_upper_covers(self._up)) for j in members(m)))
 
     def up_set(self, a: int) -> frozenset:
+        check_ids(self, a)
         return to_set(self._up[a])
 
     def down_set(self, a: int) -> frozenset:
+        check_ids(self, a)
         return to_set(self._down[a])
 
     def up_mask(self, a: int) -> int:
+        check_ids(self, a)
         return self._up[a]
 
     def down_mask(self, a: int) -> int:
+        check_ids(self, a)
         return self._down[a]
 
     def memo(self, key, fn):

@@ -18,6 +18,7 @@ the same as without it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .complementation import satisfies_dblplus_identity
@@ -36,19 +37,23 @@ TAG_PREDICATES = {
 }
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
-    name: str
-    lattice: Lattice
-    tags: frozenset
-
-
 def tags_of(lat: Lattice) -> frozenset:
     return frozenset(t for t, pred in TAG_PREDICATES.items() if pred(lat))
 
 
+@dataclass(frozen=True)
+class CorpusEntry:
+    """A named corpus lattice; its tags are computed on first access."""
+    name: str
+    lattice: Lattice
+
+    @functools.cached_property
+    def tags(self) -> frozenset:
+        return tags_of(self.lattice)
+
+
 def entry_for(name: str, lat: Lattice) -> CorpusEntry:
-    return CorpusEntry(name, lat, tags_of(lat))
+    return CorpusEntry(name, lat)
 
 
 # -- constructions -----------------------------------------------------
@@ -161,17 +166,11 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
 
     def meet_exists(j: int, k: int) -> bool:
         # Common strict lower bounds of j and the new element k must have
-        # a greatest member; j itself not below k here.
+        # a greatest member; j itself not below k here. Ids respect the
+        # order, so only the highest common id can be that member.
         common = (downs[j] | (1 << j)) & downs[k]
-        if common.bit_count() <= 1:
-            return common != 0
-        probe = common
-        while probe:
-            t = probe.bit_length() - 1
-            if common & ~(downs[t] | (1 << t)) == 0:
-                return True
-            probe ^= 1 << t
-        return False
+        t = common.bit_length() - 1
+        return t >= 0 and not common & ~(downs[t] | 1 << t)
 
     def place(k: int):
         if k == n:

@@ -189,20 +189,21 @@ def filters(lat: Lattice) -> list[frozenset]:
 
 @dataclass(frozen=True)
 class DSLattice:
-    """All deductive systems ordered by inclusion, with meet/join tables
-    indexed by position in systems. The k x k tables are built on first
-    access: no check reads them."""
-    systems: tuple[frozenset, ...]
+    """All deductive systems ordered by inclusion: masks in (size, ids)
+    order, with meet/join tables indexed by position in masks. systems,
+    the frozenset view, and the k x k tables are built on first access:
+    no check reads them."""
+    masks: tuple[int, ...]
     bottom_index: int
     top_index: int
 
     @functools.cached_property
-    def _masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << x for x in s) for s in self.systems)
+    def systems(self) -> tuple[frozenset, ...]:
+        return tuple(map(to_set, self.masks))
 
     @functools.cached_property
     def meet_table(self) -> tuple[tuple[int, ...], ...]:
-        systems = self._masks
+        systems = self.masks
         index = {s: i for i, s in enumerate(systems)}
         try:
             return tuple(tuple(index[a & b] for b in systems) for a in systems)
@@ -215,32 +216,23 @@ class DSLattice:
         # containing[p]: positions of the systems that contain system p.
         # The family is intersection closed, so the join of two systems
         # is the first, and smallest, position containing both.
-        containing, _ = _positions_above_below(self._masks)
+        containing, _ = _positions_above_below(self.masks)
         return tuple(tuple(((both := ci & cj) & -both).bit_length() - 1 for cj in containing)
                      for ci in containing)
 
 
-def _deductive_family(lat: Lattice, cap: int) -> tuple[tuple[int, ...], DSLattice]:
-    """The masks of all deductive systems in (size, ids) order and their
-    DSLattice, memoised on the lattice; the cap is checked on every call.
-    Candidates are the order filters, since every deductive system is
-    one."""
+def all_deductive_systems(lat: Lattice, cap: int = SUBSET_CAP) -> DSLattice:
+    """Enumerate deductive systems. Candidates are the order filters,
+    since every deductive system is one. The family is memoised on the
+    lattice; the cap is checked on every call."""
     if lat.n > cap:
         raise SizeCapExceeded(
             f"deductive-system enumeration needs at most {cap} elements, got {lat.n}")
 
     def compute():
-        systems = tuple(f for f in _order_filter_masks(lat) if _is_deductive(lat, f))
-        dsl = DSLattice(tuple(to_set(s) for s in systems), 0,
-                        systems.index((1 << lat.n) - 1))
-        return systems, dsl
+        masks = tuple(f for f in _order_filter_masks(lat) if _is_deductive(lat, f))
+        return DSLattice(masks, 0, masks.index((1 << lat.n) - 1))
     return lat.memo("deductive_systems", compute)
-
-
-def all_deductive_systems(lat: Lattice, cap: int = SUBSET_CAP) -> DSLattice:
-    """Enumerate deductive systems. The family is memoised on the
-    lattice; the cap is checked on every call."""
-    return _deductive_family(lat, cap)[1]
 
 
 def ds_lattice_is_boolean_2n(lat: Lattice) -> bool:
@@ -250,7 +242,7 @@ def ds_lattice_is_boolean_2n(lat: Lattice) -> bool:
     if not is_mn_shaped(lat):
         raise InvalidParameter("boolean structure check expects a diamond lattice")
     atoms = [x for x in lat.elements if x not in (lat.bottom, lat.top)]
-    found = set(_deductive_family(lat, SUBSET_CAP)[0])
+    found = set(all_deductive_systems(lat).masks)
     # Every image is a | {1} or the carrier, so a within b exactly when
     # image(a) within image(b): the order isomorphism needs only equal
     # sets of 2^m images.
@@ -483,8 +475,7 @@ def _compatible_verdict(lat: Lattice, d: int) -> bool:
 
 
 def compatible_systems(lat: Lattice, cap: int = SUBSET_CAP) -> list[frozenset]:
-    masks, dsl = _deductive_family(lat, cap)
-    return [s for m, s in zip(masks, dsl.systems) if _is_compatible(lat, m)]
+    return [to_set(d) for d in all_deductive_systems(lat, cap).masks if _is_compatible(lat, d)]
 
 
 # -- partitions and closures -------------------------------------------
@@ -553,11 +544,9 @@ def _close(table, unions: dict, cls: list[int], dirty: list[int]) -> Rows:
 
 def _least_substitution_rows(lat: Lattice) -> Rows:
     """The least equivalence with the implication substitution property,
-    as rows, memoised on the lattice: the closure of the identity."""
-    def compute():
-        ids = [1 << x for x in range(lat.n)]
-        return _close(implies_masks(lat), {}, ids, ids[:])
-    return lat.memo("least_substitution", compute)
+    as rows: the closure of the identity."""
+    ids = [1 << x for x in range(lat.n)]
+    return _close(implies_masks(lat), {}, ids, ids[:])
 
 
 def _substitution_family(lat: Lattice) -> list[Rows]:
@@ -633,7 +622,7 @@ def check_filters_vs_deductive_systems(lat: Lattice,
     closed ones are filters; on modular lattices every filter is one."""
     comp = is_complemented(lat)
     modular = comp and is_modular(lat)
-    systems = [(d,) for d in _deductive_family(lat, cap)[0]]
+    systems = [(d,) for d in all_deductive_systems(lat, cap).masks]
     index = implies_index(lat)
 
     def implication_closed(d):
@@ -658,7 +647,8 @@ def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckRe
     """Family structure: intersection closure, bounds, Theta reflexivity
     and symmetry, and the same closure for compatible systems."""
     comp = is_complemented(lat)
-    systems, dsl = _deductive_family(lat, cap)
+    dsl = all_deductive_systems(lat, cap)
+    systems = dsl.masks
     compat = [d for d in systems if _is_compatible(lat, d)]
     full = (1 << lat.n) - 1
 
@@ -731,7 +721,7 @@ def check_compatible_kernel_recovery(lat: Lattice,
     the other systems the transitivity verdict is recorded only."""
     comp, it = is_complemented(lat), implies_masks(lat)
     compat, other = [], []
-    for d in _deductive_family(lat, cap)[0]:
+    for d in all_deductive_systems(lat, cap).masks:
         (compat if _is_compatible(lat, d) else other).append((d, _theta(lat, d)))
     other_transitive = sum(_is_equivalence(rows) for _, rows in other)
 

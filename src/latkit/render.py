@@ -7,9 +7,9 @@ deterministic: elements appear in lattice order, covers sorted by id.
 
 from __future__ import annotations
 
-from .complementation import double_plus, plus
+from .complementation import complement_masks, dblplus_masks
 from .connectives import op_table
-from .core import Lattice, format_element_set
+from .core import Lattice, format_element_set, members
 
 
 def _grid(rows: list[list[str]]) -> str:
@@ -24,10 +24,8 @@ def _grid(rows: list[list[str]]) -> str:
 def render_plus_table(lat: Lattice) -> str:
     """Three rows x / x+ / x++, one column per element."""
     head = ["x"] + [lat.label(x) for x in lat.elements]
-    row1 = ["x⁺"] + [format_element_set(lat, plus(lat, frozenset((x,))))
-                     for x in lat.elements]
-    row2 = ["x⁺⁺"] + [format_element_set(lat, double_plus(lat, frozenset((x,))))
-                      for x in lat.elements]
+    row1 = ["x⁺"] + [format_element_set(lat, members(m)) for m in complement_masks(lat)]
+    row2 = ["x⁺⁺"] + [format_element_set(lat, members(m)) for m in dblplus_masks(lat)]
     return _grid([head, row1, row2])
 
 

@@ -1,5 +1,6 @@
 import ast
 import pathlib
+from dataclasses import replace
 
 import pytest
 
@@ -67,8 +68,9 @@ def test_boolean_check_fails_on_a_dropped_system():
     for drop in range(8):
         lat = make_Mn(3)
         assert ds_lattice_is_boolean_2n(lat)
-        masks, dsl = lat._memo["deductive_systems"]
-        lat._memo["deductive_systems"] = (masks[:drop] + masks[drop + 1:], dsl)
+        dsl = lat._memo["deductive_systems"]
+        lat._memo["deductive_systems"] = replace(
+            dsl, masks=dsl.masks[:drop] + dsl.masks[drop + 1:])
         assert not ds_lattice_is_boolean_2n(lat), drop
 
 

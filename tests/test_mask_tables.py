@@ -9,10 +9,12 @@ from pathlib import Path
 
 from latkit import implies, make_fig2, plus
 from latkit.cli import main
-from latkit.complementation import complement_sets
+from latkit.complementation import closed_sets, closure_lattice, complement_sets
 from latkit.connectives import (check_implication_laws, check_modus_laws, implies_mask,
                                 implies_masks, implies_table, odot_mask, odot_masks)
 from latkit.corpus import default_corpus, enumerate_lattices
+from latkit.deduction import DSLattice, all_deductive_systems
+from latkit.render import render_op_table, render_plus_table
 from latkit.suite import lattice_suite
 
 from .strategies import fresh, place
@@ -64,6 +66,29 @@ def test_verify_builds_no_frozenset_table():
         lattice_suite(lat)
         views = {"complement_sets", "implies_table", "odot_table"} & set(lat._memo)
         assert not views, (e.name, views)
+
+
+def test_memo_stores_each_table_once():
+    """The views, the least substitution equivalence and the universe are
+    converted on each call; the deductive family is stored as one
+    DSLattice of masks."""
+    for e in default_corpus():
+        lat = fresh(e.lattice)
+        lattice_suite(lat)
+        closure_lattice(lat)
+        render_op_table(lat, "implies")
+        render_op_table(lat, "odot")
+        render_plus_table(lat)
+        systems = all_deductive_systems(lat).systems
+        complement_sets(lat)
+        closed_sets(lat)
+        assert lat.universe == frozenset(lat.elements)
+        views = {"complement_sets", "closed_sets", "implies_table", "odot_table",
+                 "least_substitution", "universe"} & set(lat._memo)
+        assert not views, (e.name, views)
+        dsl = lat._memo["deductive_systems"]
+        assert isinstance(dsl, DSLattice), e.name
+        assert dsl.masks == tuple(sum(1 << x for x in s) for s in systems), e.name
 
 
 def test_witnesses_take_the_lowest_id():

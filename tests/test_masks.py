@@ -76,6 +76,15 @@ def test_lattice_queries_reject_foreign_ids(bad):
                 query(a, b)
 
 
+@pytest.mark.parametrize("bad", [-1, 5])
+def test_unary_lattice_queries_reject_foreign_ids(bad):
+    # -1 would otherwise index the top element.
+    n5 = make_N5()
+    for query in (n5.label, n5.up_set, n5.down_set, n5.up_mask, n5.down_mask):
+        with pytest.raises(InvalidParameter):
+            query(bad)
+
+
 def toggled(rng, table, n, flips):
     """table with `flips` random element memberships flipped."""
     out = [set(s) for s in table]
@@ -106,7 +115,6 @@ def test_closure_lattice_matches_frozenset_scan():
                     family.pop()
                 masks = tuple(sum(1 << x for x in s) for s in family)
                 work._memo["closed_masks"] = masks
-                work._memo.pop("closed_sets")
             rep = closure_lattice(work)
             assert rep.closed == tuple(family), (lat, variant)
             assert (rep.meet_table, rep.join_table, rep.orthocomplement,
