@@ -297,7 +297,9 @@ def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
 
 
 def check_complement_sets(lat: Lattice) -> PropertyReport:
-    """Order-theoretic facts about the per-element complement sets."""
+    """Order-theoretic facts about the per-element complement sets.
+    "identity for x++ requires injectivity" is reported as passed: both
+    flags read dblplus_masks, and n rows with row x = {x} are distinct."""
     asserted = is_complemented(lat)
     cm, dps = complement_masks(lat), dblplus_masks(lat)
     els = lat.elements
@@ -317,13 +319,7 @@ def check_complement_sets(lat: Lattice) -> PropertyReport:
     res.append(law("every a+ convex", lambda a: convex_mask(lat, cm[a]), product(els),
                    asserted,
                    lambda a: f"a={lat.labels[a]} a+={format_element_set(lat, members(cm[a]))}"))
-
-    inj = dblplus_injective(lat)
-    ident = satisfies_dblplus_identity(lat)
-    ok = inj or not ident
-    res.append(CheckResult("identity for x++ requires injectivity",
-                           ok, None if ok else f"injective={inj} identity={ident}",
-                           asserted))
+    res.append(CheckResult("identity for x++ requires injectivity", True, None, asserted))
     return PropertyReport("complement set structure", tuple(res))
 
 
@@ -349,7 +345,13 @@ def check_modular_antichains(lat: Lattice) -> PropertyReport:
 
 def check_order_reversal(lat: Lattice) -> PropertyReport:
     """Three order-reversal statements and their entailments: the first
-    implies the second, and the second and third are equivalent."""
+    implies the second, and the second and third are equivalent. The
+    equivalence holds whatever the complement table and is reported as
+    passed; the second and third stay as informational entries. The
+    second puts y+ within cover[x] for x below y, the third puts (x v y)+
+    within cover[x] & cover[y]. x and y lie below x v y, so the second
+    gives the third; x below y gives x v y = y, so the third gives the
+    second."""
     cm = complement_masks(lat)
     meet, join, up, down = lat._meet, lat._join, lat._up, lat._down
     pairs = list(product(lat.elements, repeat=2))
@@ -367,15 +369,13 @@ def check_order_reversal(lat: Lattice) -> PropertyReport:
              lambda x, y: not up[x] >> y & 1 or not cm[y] & ~cover[x], pairs, False, xy)
     r3 = law("(x v y)+ below x+ ^ y+ pointwise",
              lambda x, y: not cm[join[x][y]] & ~(cover[x] & cover[y]), pairs, False, xy)
-    s1, s2, s3 = r1.passed, r2.passed, r3.passed
+    ok = not r1.passed or r2.passed
     asserted = is_complemented(lat)
     return PropertyReport("order reversal", (
         r1, r2, r3,
-        CheckResult("first statement implies second", (not s1) or s2,
-                    None if ((not s1) or s2) else f"s1 holds, s2 fails at {r2.witness}",
-                    asserted),
-        CheckResult("second and third equivalent", s2 == s3,
-                    None if s2 == s3 else f"s2={s2} s3={s3}", asserted),
+        CheckResult("first statement implies second", ok,
+                    None if ok else f"s1 holds, s2 fails at {r2.witness}", asserted),
+        CheckResult("second and third equivalent", True, None, asserted),
     ))
 
 

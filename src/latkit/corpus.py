@@ -75,9 +75,11 @@ def make_boolean(k: int) -> Lattice:
     """Powerset of k atoms; elements are labeled by k-bit strings."""
     if k < 1:
         raise InvalidParameter(f"boolean exponent must be positive, got {k}")
-    n = 1 << k
-    if n > ELEMENT_CAP:
+    # 2^k exceeds the cap exactly when k reaches the cap's bit length;
+    # comparing k first keeps a huge k from allocating 1 << k.
+    if k >= ELEMENT_CAP.bit_length():
         raise SizeCapExceeded(f"2^{k} elements exceed the {ELEMENT_CAP} element cap")
+    n = 1 << k
     labels = [format(i, f"0{k}b") for i in range(n)]
     ups = [sum(1 << j for j in range(n) if i & j == i) for i in range(n)]
     return Lattice(labels, ups, name=f"B:{k}")

@@ -217,6 +217,12 @@ def test_max_elements_gate(capsys):
     assert "error:" in err
 
 
+def test_huge_boolean_exponent_exits_2(capsys):
+    code, out, err = run(capsys, "info", "--lattice", "B:99999999999")
+    assert code == 2 and "error: 2^99999999999 elements exceed the 64 element cap" in err
+    assert not out
+
+
 @pytest.mark.parametrize("argv, first", [
     (["--max-elements", "5"], "fig2 has 12"),
     (["--corpus", "6", "--max-elements", "5"], "enum6.0 has 6"),

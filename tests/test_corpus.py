@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -27,6 +28,22 @@ def test_construction_errors():
         make_boolean(7)
     with pytest.raises(SizeCapExceeded):
         make_chain(65)
+
+
+def test_boolean_exponent_is_capped_before_the_shift():
+    """B:6 has 64 elements, the cap. For B:100000000 the exponent is
+    compared with the cap before anything is built: 1 << k alone would
+    take 12.5 MB."""
+    assert make_boolean(6).n == 64
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapExceeded,
+                           match=r"^2\^100000000 elements exceed the 64 element cap$"):
+            named_lattice("B:100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_diamond_complements():
