@@ -570,17 +570,24 @@ def _wl_colors(up, down) -> list[int]:
     constant on each stable class, and so are height and depth, by
     induction on height (dually depth): an element's height follows from
     its lower covers' colours. Starting from them too would give the same
-    classes."""
+    classes.
+
+    A colouring is returned as soon as it is discrete, one element per
+    colour; a discrete start returns before any covers are computed.
+    Every refinement key leads with the old colour, so a further round
+    could split no class and would give back the same numbers."""
     n = len(up)
+    keys = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
+    ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
+    color = [ranks[k] for k in keys]
+    if len(ranks) == n:
+        return color
+
     cov_up = [members(m) for m in _upper_covers(up)]
     cov_dn = [[] for _ in range(n)]
     for i in range(n):
         for j in cov_up[i]:
             cov_dn[j].append(i)
-
-    keys = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
-    ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
-    color = [ranks[k] for k in keys]
     while True:
         keys = [(color[i],
                  tuple(sorted(color[j] for j in cov_dn[i])),
@@ -588,8 +595,8 @@ def _wl_colors(up, down) -> list[int]:
                 for i in range(n)]
         ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
         new = [ranks[k] for k in keys]
-        if new == color:
-            return color
+        if new == color or len(ranks) == n:
+            return new
         color = new
 
 
@@ -603,31 +610,50 @@ def canonical_form(up, down):
 
     The search places one element per position. Two elements are twins
     when they are incomparable and have equal up- and down-sets once both
-    are removed; swapping them is then an automorphism (so they share a
-    colour) that fixes every other element. A position therefore tries no
-    element that has an unplaced twin of lower id: that twin's branch
-    yields the same strings. This keeps the form and makes the search
-    linear in a class of interchangeable elements (the atoms of M:n)
-    instead of factorial. Classes without twins, as in B:5, still branch
-    on every member."""
+    are removed; swapping them is then an automorphism that fixes every
+    other element. The colouring is invariant, so twins share a colour,
+    and they are looked for only among pairs inside one class. A position
+    tries no element that has an unplaced twin of lower id: that twin's
+    branch yields the same strings. This keeps the form and makes the
+    search linear in a class of interchangeable elements (the atoms of
+    M:n) instead of factorial. Classes without twins, as in B:5, still
+    branch on every member. A discrete colouring admits exactly one
+    permutation, so it is read off with no twin table and no search."""
     n = len(up)
     color = _wl_colors(up, down)
     posrank = sorted(color)
     byrank: dict[int, list[int]] = {}
     for i, c in enumerate(color):
         byrank.setdefault(c, []).append(i)
-    lower_twins = [0] * n
-    for j in range(n):
-        for i in range(j):
-            both = 1 << i | 1 << j
-            if not (up[i] >> j & 1 or up[j] >> i & 1) \
-                    and up[i] & ~both == up[j] & ~both \
-                    and down[i] & ~both == down[j] & ~both:
-                lower_twins[j] |= 1 << i
-
-    best: list[int] | None = None
     cur: list[int] = []
     placed: list[int] = []
+
+    def token(e: int) -> int:
+        # Order bits between e and each placed element, in placing order.
+        tok = 0
+        for q in placed:
+            tok = tok << 1 | (up[q] >> e & 1)
+            tok = tok << 1 | (up[e] >> q & 1)
+        return tok
+
+    if len(byrank) == n:
+        for r in posrank:
+            (e,) = byrank[r]
+            cur.append(token(e))
+            placed.append(e)
+        return (n, tuple(posrank), tuple(cur))
+
+    lower_twins = [0] * n
+    for cls in byrank.values():
+        for x, j in enumerate(cls):
+            for i in cls[:x]:
+                both = 1 << i | 1 << j
+                if not (up[i] >> j & 1 or up[j] >> i & 1) \
+                        and up[i] & ~both == up[j] & ~both \
+                        and down[i] & ~both == down[j] & ~both:
+                    lower_twins[j] |= 1 << i
+
+    best: list[int] | None = None
     free = (1 << n) - 1
 
     def dfs(p: int):
@@ -639,11 +665,7 @@ def canonical_form(up, down):
         for e in byrank[posrank[p]]:
             if not free >> e & 1 or lower_twins[e] & free:
                 continue
-            tok = 0
-            for q in placed:
-                tok = tok << 1 | (up[q] >> e & 1)
-                tok = tok << 1 | (up[e] >> q & 1)
-            cur.append(tok)
+            cur.append(token(e))
             if best is None or cur <= best[:p + 1]:
                 free ^= 1 << e
                 placed.append(e)

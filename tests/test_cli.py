@@ -1,9 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 
 import pytest
 
+import latkit
 from latkit.cli import _verify_text, main
 from latkit.report import CheckResult, PropertyReport
 
@@ -221,6 +225,20 @@ def test_huge_boolean_exponent_exits_2(capsys):
     code, out, err = run(capsys, "info", "--lattice", "B:99999999999")
     assert code == 2 and "error: 2^99999999999 elements exceed the 64 element cap" in err
     assert not out
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(latkit.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def latkit_m(*argv):
+        return subprocess.run([sys.executable, "-m", "latkit", *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    ok = latkit_m("info", "--lattice", "N5")
+    assert ok.returncode == 0 and "5 elements" in ok.stdout
+    bad = latkit_m("info", "--lattice", "B:99999999999")
+    assert bad.returncode == 2 and "error:" in bad.stderr and not bad.stdout
 
 
 @pytest.mark.parametrize("argv, first", [

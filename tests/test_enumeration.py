@@ -1,17 +1,18 @@
 """Meet/join tables from the linear extension, the enumerator's canonical
-keys and its output against an unpruned walk, canonical keys under
-relabelling, id checks of the deduction predicates, and the class count
-in the substitution-equivalence witness."""
+keys and its output against an unpruned walk, canonical forms against the
+ordered-matrix oracle, canonical keys under relabelling, id checks of the
+deduction predicates, and the class count in the substitution-equivalence
+witness."""
 
 import hashlib
 import random
 
 import pytest
 
-from latkit import corpus
+from latkit import core, corpus
 from latkit.complementation import complement_sets
 from latkit.connectives import implies_table
-from latkit.core import Lattice, canonical_key, is_complemented
+from latkit.core import Lattice, _wl_colors, canonical_form, canonical_key, is_complemented
 from latkit.corpus import (direct_product, enumerate_lattices, make_boolean, make_chain,
                            make_fig2, make_Mn, make_N5)
 from latkit.deduction import (check_substitution_equivalences, is_deductive_system,
@@ -19,7 +20,8 @@ from latkit.deduction import (check_substitution_equivalences, is_deductive_syst
 from latkit.errors import InvalidParameter, NotALattice
 
 from .oracles import (bounded_posets, brute_covers, brute_join, brute_meet,
-                      first_lattice_per_class, first_missing_bound, relabel)
+                      first_lattice_per_class, first_missing_bound,
+                      natural_lattice_labellings, ordered_matrix_key, relabel)
 from .strategies import place
 
 # sha256 over one line per lattice, repr((labels, up masks)), in output order,
@@ -143,6 +145,36 @@ def test_pruned_labellings_never_reach_canonical_form(monkeypatch):
                         lambda up, down: calls.append(len(up)) or real(up, down))
     assert sum(len(enumerate_lattices(n, cap=8)) for n in range(2, 9)) == 299
     assert len(calls) <= 1000
+
+
+def test_discrete_start_colourings_skip_the_cover_scan(monkeypatch):
+    """Of the 914 candidates that reach canonical_form on 2 to 8 elements,
+    259 are told apart by their down- and up-set sizes alone; only the
+    other 655 compute upper covers."""
+    calls = []
+    real = core._upper_covers
+    monkeypatch.setattr(core, "_upper_covers", lambda up: calls.append(len(up)) or real(up))
+    assert sum(len(enumerate_lattices(n, cap=8)) for n in range(2, 9)) == 299
+    assert len(calls) <= 655
+
+
+def test_canonical_form_against_ordered_matrix_key_in_each_regime():
+    """On the 370 unpruned lattice labellings on 2 to 7 elements, forms are
+    equal exactly when the oracle keys are. The sample holds all three
+    regimes: a discrete start colouring (146), one made discrete by
+    refinement (18), and a searched one (206)."""
+    form_to_key, key_to_form = {}, {}
+    regimes = [0, 0, 0]
+    for n in range(2, 8):
+        for up in natural_lattice_labellings(n):
+            down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
+            form, key = canonical_form(up, down), ordered_matrix_key(up)
+            assert form_to_key.setdefault(form, key) == key
+            assert key_to_form.setdefault(key, form) == form
+            start = {(down[i].bit_count(), up[i].bit_count()) for i in range(n)}
+            refined = set(_wl_colors(up, down))
+            regimes[0 if len(start) == n else 1 if len(refined) == n else 2] += 1
+    assert sum(regimes) == 370 and all(regimes), regimes
 
 
 def test_canonical_key_invariant_under_relabelling():
