@@ -13,7 +13,7 @@ import json
 import sys
 
 from .complementation import complement_masks, dblplus_masks, satisfies_dblplus_identity
-from .connectives import is_mn_shaped
+from .connectives import is_mn_shaped, op_table
 from .core import (ELEMENT_CAP, Lattice, _positions_above_below, _upper_covers,
                    is_complemented, is_distributive, is_modular,
                    load_lattice_file, members)
@@ -172,7 +172,6 @@ def cmd_plus_table(args: argparse.Namespace) -> int:
 def cmd_op_table(args: argparse.Namespace) -> int:
     lat = load_source(args)
     if args.fmt == "json":
-        from .connectives import op_table
         table = op_table(lat, args.op)
         _emit(args, json.dumps({
             "op": args.op,
@@ -217,17 +216,18 @@ def _verify_results(args: argparse.Namespace):
     return corpus_suite(entries, args.max_subsets, args.max_partitions)
 
 
+def _all_ok(results) -> bool:
+    """The verdict of a verify run: every report of every lattice ok."""
+    return all(r.ok for _, reports in results for r in reports)
+
+
 def _verify_text(results) -> tuple[str, bool]:
     lines = []
-    all_ok = True
     for name, reports in results:
         checks = sum(len(r.results) for r in reports)
-        fails = [(r.title, c) for r in reports
-                 for c in r.results if c.asserted and not c.passed]
+        fails = [(r.title, c) for r in reports for c in r.failures()]
         info = [c for r in reports for c in r.results if not c.asserted]
         skips = sum(1 for c in info if c.name == SKIPPED)
-        if fails:
-            all_ok = False
         status = "ok  " if not fails else "FAIL"
         lines.append(f"{status} {name}: {checks} checks, "
                      f"{len(fails)} failures, {len(info) - skips} informational"
@@ -235,9 +235,10 @@ def _verify_text(results) -> tuple[str, bool]:
         for title, c in fails:
             where = f" [{c.witness}]" if c.witness else ""
             lines.append(f"     {title}: {c.name}{where}")
-    lines.append("result: " + ("all asserted checks passed" if all_ok
+    ok = _all_ok(results)
+    lines.append("result: " + ("all asserted checks passed" if ok
                                else "asserted checks FAILED"))
-    return "\n".join(lines), all_ok
+    return "\n".join(lines), ok
 
 
 def _report_json(reports: list[PropertyReport]):
@@ -250,7 +251,7 @@ def _report_json(reports: list[PropertyReport]):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     results = _verify_results(args)
-    ok = all(r.ok for _, reports in results for r in reports)
+    ok = _all_ok(results)
     if args.fmt == "json":
         _emit(args, json.dumps({
             "ok": ok,

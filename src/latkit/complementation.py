@@ -90,14 +90,12 @@ def is_closed(lat: Lattice, a: frozenset) -> bool:
 
 def satisfies_dblplus_identity(lat: Lattice) -> bool:
     """True when double_plus({x}) == {x} for every element."""
-    return lat.memo("dblplus_identity", lambda: all(
-        m == 1 << x for x, m in enumerate(dblplus_masks(lat))))
+    return all(m == 1 << x for x, m in enumerate(dblplus_masks(lat)))
 
 
 def dblplus_injective(lat: Lattice) -> bool:
     """True when x -> double_plus({x}) is injective."""
-    return lat.memo("dblplus_injective",
-                    lambda: len(set(dblplus_masks(lat))) == lat.n)
+    return len(set(dblplus_masks(lat))) == lat.n
 
 
 def find_closed_element_in_dblplus(lat: Lattice, a: int) -> int | None:

@@ -324,7 +324,9 @@ class Lattice:
 
 def format_element_set(lat: Lattice, s: frozenset) -> str:
     """Render a subset: label concatenation when every label is one
-    character, otherwise comma-separated braces. Empty set renders as ∅."""
+    character, otherwise comma-separated braces. Empty set renders as ∅.
+    Raises InvalidParameter for an id outside 0..n-1."""
+    check_ids(lat, *s)
     if not s:
         return "∅"
     labs = [lat.labels[i] for i in sorted(s)]

@@ -14,9 +14,10 @@ because Theta of an arbitrary deductive system can fail transitivity.
 The public functions take and return frozensets of ids, and relations as
 frozensets of ordered id pairs.
 
-Theta is memoised on the lattice per subset mask and shared by the five
-checks and the public theta; the compatibility verdict passes _theta
-the within-D rows it already holds, so they are built once. Both the
+The within-D rows and Theta are memoised on the lattice per subset
+mask, and Theta reads the within-D rows; both are shared by the five
+checks, the compatibility verdict and the public theta. The verdict
+itself is not memoised: verify decides each system once. Both the
 within-D rows and the hypothesis step of the verdict read
 connectives.implies_index, so they work on the few distinct values of
 each row of the implication table instead of on its n columns; the
@@ -257,9 +258,16 @@ def ds_lattice_is_boolean_2n(lat: Lattice) -> bool:
 
 def _within_rows(lat: Lattice, d: int) -> list[int]:
     """Row x holds the y with implies(x, y) within d: the columns of the
-    distinct values of row x that lie within d."""
-    nd = ~d
-    return [sum(cols for v, cols in row if not v & nd) for row in implies_index(lat)]
+    distinct values of row x that lie within d. Memoised on the lattice
+    per subset mask."""
+    found = lat.memo("within_rows", dict)
+    try:
+        return found[d]
+    except KeyError:
+        nd = ~d
+        rows = found[d] = [sum(cols for v, cols in row if not v & nd)
+                           for row in implies_index(lat)]
+        return rows
 
 
 def _both_ways(rows) -> Rows:
@@ -272,14 +280,14 @@ def _both_ways(rows) -> Rows:
     return tuple(map(operator.and_, rows, cols))
 
 
-def _theta(lat: Lattice, d: int, within=None) -> Rows:
-    """Theta(d) as rows, memoised on the lattice per subset mask; the
-    compatibility verdict passes the within-d rows it already holds."""
-    thetas = lat.memo("theta", dict)
+def _theta(lat: Lattice, d: int) -> Rows:
+    """Theta(d) as rows, the symmetric part of the within-d rows.
+    Memoised on the lattice per subset mask."""
+    found = lat.memo("theta", dict)
     try:
-        return thetas[d]
+        return found[d]
     except KeyError:
-        rows = thetas[d] = _both_ways(_within_rows(lat, d) if within is None else within)
+        rows = found[d] = _both_ways(_within_rows(lat, d))
         return rows
 
 
@@ -387,19 +395,6 @@ def has_sp_plus(lat: Lattice, rel: Relation) -> bool:
     return _has_sp_plus(lat, _rows(lat, rel))
 
 
-class _Intersections(dict):
-    """xs -> the AND of rows[x] over the members x of xs, computed on
-    first lookup."""
-
-    def __init__(self, rows, full: int):
-        super().__init__()
-        self.rows, self.full = rows, full
-
-    def __missing__(self, xs: int) -> int:
-        out = self[xs] = intersect_rows(self.rows, xs, self.full)
-        return out
-
-
 def _column_union(table, m: int):
     """The column-wise OR of table[b] over the members b of the nonempty
     mask m."""
@@ -415,21 +410,17 @@ def _substitutes(table, rows: Rows, target) -> bool:
     table[a][c] relates by target to each y in table[b][c]: reach[c], the
     union of table[b][c] over the row of a, lies within allow[c], the
     target rows of all members of table[a][c] intersected. Row a is
-    decided at once: reach | allow equals allow. reach is built once per
-    distinct row and each intersection once per distinct cell. Rows with
-    more members go first: on the candidates that fail, they are the
-    likeliest to fail."""
-    allowed = _Intersections(target, (1 << len(table)) - 1)
-    reaches: dict[int, list[int]] = {}
-    for row, a in sorted(zip(rows, range(len(rows))), key=lambda ra: -ra[0].bit_count()):
-        if not row:
-            continue
-        reach = reaches.get(row)
-        if reach is None:
-            reach = reaches[row] = _column_union(table, row)
-        allow = list(map(allowed.__getitem__, table[a]))
-        if list(map(operator.or_, reach, allow)) != allow:
-            return False
+    decided at once: reach | allow equals allow. Both are cached for the
+    call: reach once per distinct row, each intersection once per
+    distinct cell."""
+    full = (1 << len(table)) - 1
+    allowed = functools.cache(lambda xs: intersect_rows(target, xs, full))
+    reach = functools.cache(lambda row: _column_union(table, row))
+    for a, row in enumerate(rows):
+        if row:
+            allow = list(map(allowed, table[a]))
+            if list(map(operator.or_, reach(row), allow)) != allow:
+                return False
     return True
 
 
@@ -447,16 +438,7 @@ def is_compatible_ds(lat: Lattice, d) -> bool:
 
 
 def _is_compatible(lat: Lattice, d: int) -> bool:
-    """is_compatible_ds on a mask; verdicts are memoised on the lattice."""
-    verdicts = lat.memo("compatible_ds", dict)
-    try:
-        return verdicts[d]
-    except KeyError:
-        ok = verdicts[d] = _compatible_verdict(lat, d)
-        return ok
-
-
-def _compatible_verdict(lat: Lattice, d: int) -> bool:
+    """is_compatible_ds on a mask."""
     if not _is_deductive(lat, d):
         return False
     full = (1 << lat.n) - 1
@@ -473,7 +455,7 @@ def _compatible_verdict(lat: Lattice, d: int) -> bool:
             if any(not m & ~within for m in outside):
                 return False
 
-    return _substitutes(implies_masks(lat), _theta(lat, d, sub), sub)
+    return _substitutes(implies_masks(lat), _theta(lat, d), sub)
 
 
 def compatible_systems(lat: Lattice, cap: int = SUBSET_CAP) -> list[frozenset]:
@@ -608,7 +590,11 @@ def _within(a: Rows, b: Rows) -> bool:
 def check_filters_vs_deductive_systems(lat: Lattice,
                                        cap: int = SUBSET_CAP) -> tuple[CheckResult, ...]:
     """Every deductive system is an order filter; internally implication
-    closed ones are filters; on modular lattices every filter is one."""
+    closed ones are filters; on modular lattices every filter is one.
+    The second law holds on every real table: D is an order filter, as
+    every candidate is, and for x, y in D, x->(x^y) = x+ v (x ^ y) = x->y
+    lies within D, so the deductive D holds x ^ y. It stays a scan
+    because a placed table can break it."""
     comp = is_complemented(lat)
     modular = comp and is_modular(lat)
     systems = [(d,) for d in all_deductive_systems(lat, cap).masks]
@@ -645,7 +631,7 @@ def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckRe
     - Theta symmetric: _theta is _both_ways(...).
     - Carrier compatible: every within-row is full, no table value lies
       outside the carrier, and the substitution target is the full
-      relation, so every step of _compatible_verdict passes.
+      relation, so every step of _is_compatible passes.
     - Compatible systems intersection closed: for compatible D, E and F =
       D & E, within_F = within_D & within_E, so Theta(F) = Theta(D) &
       Theta(E) and F's substitution step follows from D's and E's. If a
@@ -712,7 +698,7 @@ def check_compatible_kernel_recovery(lat: Lattice,
     """For every compatible deductive system D: theta(D) is an equivalence
     with the implication substitution property and kernel exactly D. For
     the other systems the transitivity verdict is recorded only. The
-    substitution property is reported as passed: _compatible_verdict
+    substitution property is reported as passed: _is_compatible
     showed that (a, b) in Theta(D) puts y in within[x] for x in a->c and
     y in b->c; Theta(D) is symmetric, so (b, a) puts x in within[y], and
     together these give (x, y) in Theta(D) = _both_ways(within)."""

@@ -135,6 +135,13 @@ def test_format_element_set(n5, mn3):
     assert format_element_set(mn3, frozenset((one,))) == "{a1}"
 
 
+@pytest.mark.parametrize("bad", [{9}, {-1}, {0, 5}])
+def test_format_element_set_rejects_foreign_ids(n5, bad):
+    # -1 would index the top's label and 9 past the end of the labels.
+    with pytest.raises(InvalidParameter):
+        format_element_set(n5, bad)
+
+
 def test_predicates(n5, m3, fig2):
     assert is_complemented(n5) and not is_modular(n5)
     assert is_modular(m3) and not is_distributive(m3)

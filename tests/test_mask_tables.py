@@ -68,6 +68,23 @@ def test_verify_builds_no_frozenset_table():
         assert not views, (e.name, views)
 
 
+# Every memo entry lattice_suite leaves on a default-corpus lattice. Each
+# is read again within the suite; a new entry must show that it is.
+SUITE_MEMO_KEYS = {
+    "both_orders", "closed_masks", "complement_masks", "covers", "dblplus_masks",
+    "deductive_systems", "implies_index", "implies_masks", "implies_values",
+    "is_complemented", "is_modular", "join_bits", "meet_bits", "odot_masks",
+    "theta", "within_rows",
+}
+
+
+def test_verify_leaves_only_the_memo_entries_it_reads():
+    for e in default_corpus():
+        lat = fresh(e.lattice)
+        lattice_suite(lat)
+        assert set(lat._memo) == SUITE_MEMO_KEYS, e.name
+
+
 def test_memo_stores_each_table_once():
     """The views, the least substitution equivalence and the universe are
     converted on each call; the deductive family is stored as one

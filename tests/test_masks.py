@@ -213,7 +213,7 @@ DEDUCTION_CHECKS = (check_filters_vs_deductive_systems, check_deductive_family,
 
 def test_deduction_results_do_not_depend_on_call_order():
     """theta, is_compatible_ds and the five deduction checks share the
-    theta and verdict memos of a lattice; on fresh lattices, real and
+    within-row and theta memos of a lattice; on fresh lattices, real and
     corrupted, the public calls before the checks in suite order agree
     with the checks in reverse order before the public calls."""
     rng = random.Random(13)
