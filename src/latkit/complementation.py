@@ -5,7 +5,9 @@ it collects the common complements of all members. The operator is the
 polarity of the relation "x complements y", so A -> plus(A) is an antitone
 Galois connection: A is contained in double_plus(A), plus is inclusion
 reversing, and plus(double_plus(A)) == plus(A). Sets fixed by double_plus
-are called closed; they form a complete ortholattice under inclusion.
+are called closed. On two or more elements the relation is symmetric and
+irreflexive, so the closed sets form a complete ortholattice (Birkhoff,
+Lattice Theory, 1967); verify decides the closure structure by that proof.
 
 Inside the package a subset is an int mask (bit x for element x):
 plus_mask is the operator, and complement_masks, dblplus_masks and
@@ -152,45 +154,44 @@ class ClosureReport:
     violations: tuple[str, ...]
 
 
+def _polarity_proves_ortholattice(lat: Lattice) -> bool:
+    """True when the complement relation is symmetric and irreflexive and
+    closed_masks is exactly the family it generates, so the family is the
+    ortholattice of a polarity. It is that family when no member repeats,
+    the carrier and each s & row are members (so every intersection of
+    rows is) and each s is closed (so s is the intersection of s+'s rows)."""
+    cm, full = complement_masks(lat), (1 << lat.n) - 1
+    masks = closed_masks(lat)
+    family = set(masks)
+    return (all(not row >> x & 1 and all((row >> y & 1) == (cm[y] >> x & 1) for y in lat.elements)
+                for x, row in enumerate(cm))
+            and full in family and len(family) == len(masks)
+            and all(intersect_rows(cm, intersect_rows(cm, s, full), full) == s
+                    and all(s & row in family for row in cm) for s in masks))
+
+
 def closure_lattice(lat: Lattice) -> ClosureReport:
     """The closed sets under inclusion, with every violation of a
     complete ortholattice. The join of s and t is the closure of s | t,
-    which is (s+ & t+)+ since plus(s | t) = plus(s) & plus(t). plus is an
-    intersection of rows, so it reverses inclusion whatever the table.
-
-    The k^2 scans for four kinds of violation run only when one can
-    fire:
-    - "join not an upper bound" and "join not least" need a member that
-      is not closed or a join outside the family: for closed s within
-      closed w, w+ lies within s+, so s = s++ lies within (s+ & t+)+, and
-      (s+ & t+)+ lies within w++ = w.
-    - "meet not greatest" needs an intersection outside the family: a w
-      within s and t lies within s & t.
-    - "orthocomplement not antitone" needs a plus outside the family: s
-      within t gives t+ within s+.
-    Only then do the scans run, in (s, t) order."""
+    which is (s+ & t+)+ since plus(s | t) = plus(s) & plus(t). The scans
+    run, in (s, t) order, unless _polarity_proves_ortholattice holds."""
     masks = closed_masks(lat)
     index = {s: i for i, s in enumerate(masks)}
     cm, full = complement_masks(lat), (1 << lat.n) - 1
-    fmt = lambda m: format_element_set(lat, members(m))
     pls = [intersect_rows(cm, s, full) for s in masks]
-
-    violations = [f"family member not closed: {fmt(s)}" for s, p in zip(masks, pls)
-                  if intersect_rows(cm, p, full) != s]
-    unclosed = bool(violations)
-
-    ortho = []
-    for s, p in zip(masks, pls):
-        if p not in index:
-            violations.append(f"orthocomplement escapes the family: {fmt(s)}")
-        ortho.append(index.get(p, -1))
-
+    ortho = [index.get(p, -1) for p in pls]
     meet = [[index.get(s & t, -1) for t in masks] for s in masks]
     closure = {x: index.get(intersect_rows(cm, x, full), -1)
                for x in {ps & pt for ps in pls for pt in pls}}
     join = [[closure[ps & pt] for pt in pls] for ps in pls]
 
-    if unclosed or any(-1 in row for row in meet) or any(-1 in row for row in join):
+    violations = []
+    if not _polarity_proves_ortholattice(lat):
+        fmt = lambda m: format_element_set(lat, members(m))
+        violations += [f"family member not closed: {fmt(s)}" for s, p in zip(masks, pls)
+                       if intersect_rows(cm, p, full) != s]
+        violations += [f"orthocomplement escapes the family: {fmt(s)}"
+                       for s, o in zip(masks, ortho) if o < 0]
         for i, s in enumerate(masks):
             for j, t in enumerate(masks):
                 if meet[i][j] < 0:
@@ -216,22 +217,18 @@ def closure_lattice(lat: Lattice) -> ClosureReport:
                 elif first:
                     violations.append(f"meet not greatest: {fmt(s)}, {fmt(t)}")
 
-    top = index.get(full)
-    empty = index.get(0)
-    if top is None or empty is None:
-        violations.append("family lacks empty set or full carrier")
-    escaped = -1 in ortho
-    for i, s in enumerate(masks):
-        o = ortho[i]
-        if o < 0:
-            continue
-        if ortho[o] != i:
-            violations.append(f"orthocomplement not involutive: {fmt(s)}")
-        if meet[i][o] != empty:
-            violations.append(f"set meets its orthocomplement: {fmt(s)}")
-        if join[i][o] != top:
-            violations.append(f"set does not join to full with orthocomplement: {fmt(s)}")
-        if escaped:
+        top, empty = index.get(full), index.get(0)
+        if top is None or empty is None:
+            violations.append("family lacks empty set or full carrier")
+        for i, (s, o) in enumerate(zip(masks, ortho)):
+            if o < 0:
+                continue
+            if ortho[o] != i:
+                violations.append(f"orthocomplement not involutive: {fmt(s)}")
+            if meet[i][o] != empty:
+                violations.append(f"set meets its orthocomplement: {fmt(s)}")
+            if join[i][o] != top:
+                violations.append(f"set does not join to full with orthocomplement: {fmt(s)}")
             for j, t in enumerate(masks):
                 if not s & ~t and masks[ortho[j]] & ~masks[o]:
                     violations.append(f"orthocomplement not antitone: {fmt(s)}, {fmt(t)}")

@@ -420,8 +420,14 @@ def parse_lattice_text(text: str) -> Lattice:
 
 
 def load_lattice_file(path: str) -> Lattice:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_lattice_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"not UTF-8: byte 0x{data[exc.start]:02x}",
+                         len((data[:exc.start].decode() + ".").splitlines())) from None
+    return parse_lattice_text(text)
 
 
 # -- predicates ------------------------------------------------------

@@ -10,10 +10,10 @@ Python, so threads would only contend for the interpreter lock.
 
 from __future__ import annotations
 
-from .complementation import (check_complement_sets, check_descending_chains,
-                              check_dblplus_characterization, check_galois_laws,
-                              check_modular_antichains, check_order_reversal,
-                              closure_lattice)
+from .complementation import (_polarity_proves_ortholattice, check_complement_sets,
+                              check_dblplus_characterization, check_descending_chains,
+                              check_galois_laws, check_modular_antichains,
+                              check_order_reversal, closed_masks, closure_lattice)
 from .connectives import (check_adjointness, check_conjunction_laws,
                           check_diamond_residuation, check_implication_laws,
                           check_implication_meet_link, check_minimal_dblplus,
@@ -33,12 +33,9 @@ GALOIS_EXHAUSTIVE_LIMIT = 6
 
 
 def closure_report(lat: Lattice) -> PropertyReport:
-    rep = closure_lattice(lat)
-    if rep.violations:
-        results = tuple(CheckResult(v, False) for v in rep.violations)
-    else:
-        results = (CheckResult(
-            f"complete ortholattice on {len(rep.closed)} closed sets", True),)
+    violations = () if _polarity_proves_ortholattice(lat) else closure_lattice(lat).violations
+    results = tuple(CheckResult(v, False) for v in violations) or (CheckResult(
+        f"complete ortholattice on {len(closed_masks(lat))} closed sets", True),)
     return PropertyReport("closure structure", results)
 
 

@@ -325,6 +325,9 @@ def test_input_errors(capsys, tmp_path):
     bad.write_text("lattice x\nelements: a\ncovers: a<z\n", encoding="utf-8")
     code, _, err = run(capsys, "info", "--file", str(bad))
     assert code == 2 and "line 3" in err
+    bad.write_bytes(b"lattice x\nelements: 0 \xff 1\ncovers: 0<1\n")
+    code, out, err = run(capsys, "info", "--file", str(bad))
+    assert code == 2 and "line 2: not UTF-8: byte 0xff" in err and not out
 
 
 def test_usage_errors(capsys):

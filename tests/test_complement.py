@@ -14,8 +14,10 @@ from latkit.complementation import (check_complement_sets,
                                     plus, satisfies_dblplus_identity)
 from latkit.core import Lattice, is_complemented, is_modular
 from latkit.corpus import (enumerate_lattices, make_boolean, make_chain,
-                           make_fig2, make_M3, make_N5)
+                           make_fig2, make_M3, make_N5, named_lattice)
 from latkit.errors import InvalidParameter
+from latkit.report import CheckResult
+from latkit.suite import closure_report
 
 from .oracles import brute_closed_sets, brute_galois_report, brute_plus
 from .strategies import place
@@ -110,6 +112,16 @@ def test_closure_lattice_structure(corpus):
         for i, s in enumerate(family):
             j = rep.orthocomplement[i]
             assert family[rep.orthocomplement[j]] == s
+
+
+def test_closure_report_decides_m12_by_proof(monkeypatch):
+    """On M:12 the complement relation is a polarity, so the report
+    comes from the proof alone and no 4,098 x 4,098 table is built."""
+    def refuse(lat):
+        raise AssertionError("closure_lattice called")
+    monkeypatch.setattr("latkit.suite.closure_lattice", refuse)
+    rep = closure_report(named_lattice("M:12"))
+    assert rep.results == (CheckResult("complete ortholattice on 4098 closed sets", True),)
 
 
 def test_pentagon_closure_family(n5):

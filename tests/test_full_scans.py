@@ -1,10 +1,11 @@
 """The checks whose laws are decided once per distinct value or per row,
-and the closure lattice whose order scans are skipped when a proof
-shows them empty, compared report for report, witnesses included, with
-full scans over every tuple. The tables come from lattices_with_tables,
-extended: the implication, conjunction and complement memos each real,
-or with one cell flipped, emptied or copied from another cell of its
-row."""
+and the closure lattice, whose scans are skipped when the complement
+relation is symmetric and irreflexive (a polarity, so its closed sets
+form an ortholattice), compared report for report, witnesses included,
+with full scans over every tuple. The tables come from
+lattices_with_tables, extended: the implication, conjunction and
+complement memos each real, or with one cell flipped, emptied or copied
+from another cell of its row."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st

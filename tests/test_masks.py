@@ -17,9 +17,10 @@ from latkit import (InvalidParameter, Lattice, all_deductive_systems,
                     make_Mn, make_N5, odot, odot_sets, op_table, plus,
                     set_join, set_le, set_le1, set_le2, set_meet, singleton,
                     theta)
-from latkit.complementation import complement_sets
+from latkit.complementation import (_polarity_proves_ortholattice, closed_masks,
+                                    complement_sets)
 from latkit.connectives import implies_table
-from latkit.core import members
+from latkit.core import members, subset_key
 from latkit.corpus import default_corpus, make_boolean
 from latkit.deduction import (_pairs, _substitution_family, all_partitions,
                               check_compatible_kernel_recovery,
@@ -96,9 +97,10 @@ def toggled(rng, table, n, flips):
 def test_closure_lattice_matches_frozenset_scan():
     """On corrupted complement tables, and on families with members
     dropped (seeded as the memoised closed masks), closure_lattice gives
-    the tables and violations of the O(k^3) frozenset scan. Without the
-    full carrier an escaped intersection stands for the last member, and
-    only then can a meet fail to be greatest."""
+    the tables and violations of the O(k^3) frozenset scan, whether the
+    polarity proof skips its scans or not. Without the full carrier an
+    escaped intersection stands for the last member, and only then can a
+    meet fail to be greatest."""
     rng = random.Random(5)
     lats = [e.lattice for e in default_corpus() if e.lattice.n <= 8]
     seen = set()
@@ -121,6 +123,31 @@ def test_closure_lattice_matches_frozenset_scan():
                     rep.violations) == brute_closure_scan(work, table, tuple(family)), \
                 (lat, variant)
             seen |= {v.split(":")[0] for v in rep.violations}
+    # The edges of the polarity proof: it keeps a symmetric, irreflexive
+    # table that no lattice has (one complement pair removed both ways),
+    # so the scan finds no violation; it refuses the real table with the
+    # placed family missing the carrier or a middle member, or with the
+    # unclosed set {bottom, top} added.
+    for lat in lats:
+        comp, masks = complement_sets(lat), closed_masks(lat)
+        x, y = next((x, y) for x, row in enumerate(comp) for y in row)
+        unpaired = fresh(lat)
+        place(unpaired, "complement_sets",
+              tuple(row - {y} if i == x else row - {x} if i == y else row
+                    for i, row in enumerate(comp)))
+        cases = [(unpaired, True)]
+        mid = len(masks) // 2
+        for family in (masks[:-1], masks[:mid] + masks[mid + 1:],
+                       tuple(sorted(masks + (1 << lat.bottom | 1 << lat.top,), key=subset_key))):
+            work = fresh(lat)
+            work._memo["closed_masks"] = family
+            cases.append((work, False))
+        for work, proved in cases:
+            assert _polarity_proves_ortholattice(work) == proved, (lat, proved)
+            rep = closure_lattice(work)
+            assert (rep.meet_table, rep.join_table, rep.orthocomplement, rep.violations) \
+                == brute_closure_scan(work, complement_sets(work), rep.closed), (lat, proved)
+            assert bool(rep.violations) != proved, (lat, proved)
     assert {"join not least", "meet not greatest", "intersection escapes the family",
             "orthocomplement not antitone", "family member not closed"} <= seen
 
