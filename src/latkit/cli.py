@@ -17,7 +17,7 @@ from .connectives import is_mn_shaped, op_table
 from .core import (ELEMENT_CAP, Lattice, _positions_above_below, _upper_covers,
                    is_complemented, is_distributive, is_modular,
                    load_lattice_file, members)
-from .corpus import (ENUM_CAP, default_corpus, entry_for, enumerate_lattices,
+from .corpus import (ENUM_CAP, complemented_sweep, default_corpus, entry_for,
                      named_lattice)
 from .deduction import (PARTITION_CAP, SUBSET_CAP, all_deductive_systems,
                         ds_lattice_is_boolean_2n, is_compatible_ds)
@@ -202,10 +202,7 @@ def _verify_results(args: argparse.Namespace):
         if args.corpus > ENUM_CAP:
             raise InvalidParameter(
                 f"corpus sweep capped at {ENUM_CAP} elements, got {args.corpus}")
-        entries = []
-        for n in range(2, args.corpus + 1):
-            for i, lat in enumerate(enumerate_lattices(n, frozenset(("complemented",)))):
-                entries.append(entry_for(f"enum{n}.{i}", lat))
+        entries = [entry_for(name, lat) for name, lat in complemented_sweep(args.corpus)]
         if not entries:
             raise InvalidParameter(
                 f"no complemented lattice has at most {args.corpus} elements")

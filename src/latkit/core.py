@@ -10,6 +10,7 @@ matching subclass of LatticeError.
 
 from __future__ import annotations
 
+from codecs import BOM_UTF8
 from itertools import product
 from operator import itemgetter
 
@@ -421,7 +422,7 @@ def parse_lattice_text(text: str) -> Lattice:
 
 def load_lattice_file(path: str) -> Lattice:
     with open(path, "rb") as fh:
-        data = fh.read()
+        data = fh.read().removeprefix(BOM_UTF8)  # one leading byte-order mark is ignored
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

@@ -28,6 +28,7 @@ from .core import (ELEMENT_CAP, Lattice, _closed_masks, canonical_form,
 from .errors import InvalidParameter, SizeCapExceeded
 
 ENUM_CAP = 7
+CORPUS_ENUM_MAX = 6  # default_corpus holds the complemented lattices up to this size
 
 TAG_PREDICATES = {
     "complemented": is_complemented,
@@ -246,9 +247,16 @@ def named_lattice(name: str) -> Lattice:
         f"unknown lattice name {name!r}; expected N5, M3, fig2, M:n, B:k, or chain:k")
 
 
-def default_corpus(enum_max: int = 6) -> list[CorpusEntry]:
+def complemented_sweep(max_n: int):
+    """(enum{n}.{i}, lattice) for each complemented lattice with 2 to max_n elements."""
+    for n in range(2, max_n + 1):
+        for i, lat in enumerate(enumerate_lattices(n, frozenset(("complemented",)))):
+            yield f"enum{n}.{i}", lat
+
+
+def default_corpus() -> list[CorpusEntry]:
     """Named lattices plus every complemented lattice with at most
-    enum_max elements, deduplicated up to isomorphism."""
+    CORPUS_ENUM_MAX elements, deduplicated up to isomorphism."""
     entries: list[CorpusEntry] = []
 
     def add(name: str, lat: Lattice):
@@ -264,7 +272,6 @@ def default_corpus(enum_max: int = 6) -> list[CorpusEntry]:
         add(f"M:{n}", make_Mn(n))
     for k in range(1, 5):
         add(f"B:{k}", make_boolean(k))
-    for n in range(2, enum_max + 1):
-        for i, lat in enumerate(enumerate_lattices(n, frozenset(("complemented",)))):
-            add(f"enum{n}.{i}", lat)
+    for name, lat in complemented_sweep(CORPUS_ENUM_MAX):
+        add(name, lat)
     return entries

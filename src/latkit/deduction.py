@@ -53,16 +53,15 @@ so at the end every class was popped after its last change, and each of
 its unions, which depend on it alone, still lies in one class: the
 result has the property and is C(P).
 
-find_meet_congruence_with_kernel is one closure. The kernel of a
-congruence is the class of the top, so every congruence with kernel D
-has D as a class and contains the partition P of D and singletons. A
-singleton {a} has unions {a ^ c}, within one class, so only D is dirty,
-and every congruence with kernel D contains C = C(P). So D is a kernel
-exactly when the class of the top in C is D, and then C, contained in
-every other answer, is the least one and the first in _pair_key order.
-The meet congruence family itself is listed by the pruned partition
-walk, which on the default corpus is about three times faster than
-growing it by closure.
+The kernel K of a meet congruence, the class of the top, is a filter:
+x, y in K give x ^ y related to 1 ^ y = y, so to 1, and x in K with
+x <= y gives x = x ^ y related to 1 ^ y = y. A filter of a finite
+lattice is up its meet f, so d is a kernel only if d is up f. Then
+theta_f, relating x and y when x ^ f = y ^ f, is a meet congruence with
+kernel up f, within every meet congruence E with that kernel: f E 1, so
+x = x ^ 1 E x ^ f = y ^ f E y. So find_meet_congruence_with_kernel
+returns theta_f, the least answer, smaller than every other and first
+in _pair_key order (Graetzer, "Lattice Theory: Foundation", 2011).
 
 check_substitution_equivalences lists every equivalence with SP->. The
 least one is C(identity), and from each member E found, the closure of
@@ -88,7 +87,7 @@ from .complementation import complement_masks
 from .connectives import implies_index, implies_masks, is_mn_shaped
 from .core import (Lattice, _closed_masks, _positions_above_below,
                    format_element_set, is_complemented, is_modular,
-                   meet_closed_mask, members, subset_key, to_mask, to_set)
+                   members, subset_key, to_mask, to_set)
 from .errors import InvalidParameter, SizeCapExceeded
 from .report import SKIPPED, CheckResult, PropertyReport, law
 from .setops import intersect_rows, meet_bits
@@ -163,7 +162,8 @@ def _is_order_filter(lat: Lattice, f: int) -> bool:
 
 
 def _filter_masks(lat: Lattice) -> list[int]:
-    return [f for f in _order_filter_masks(lat) if meet_closed_mask(lat, f)]
+    """The n up-sets: a filter of a finite lattice is up its meet."""
+    return sorted(lat._up, key=subset_key)
 
 
 def order_filters(lat: Lattice) -> list[frozenset]:
@@ -176,7 +176,7 @@ def is_order_filter(lat: Lattice, f: frozenset) -> bool:
 
 
 def _is_filter(lat: Lattice, f: int) -> bool:
-    return _is_order_filter(lat, f) and meet_closed_mask(lat, f)
+    return f in lat._up
 
 
 def is_filter(lat: Lattice, f: frozenset) -> bool:
@@ -324,12 +324,7 @@ def is_meet_congruence(lat: Lattice, rel: Relation) -> bool:
 
 
 def relation_of_blocks(blocks) -> Relation:
-    pairs = []
-    for blk in blocks:
-        for a in blk:
-            for b in blk:
-                pairs.append((a, b))
-    return frozenset(pairs)
+    return frozenset((a, b) for blk in blocks for a in blk for b in blk)
 
 
 def _pair_key(rows: Rows):
@@ -374,14 +369,14 @@ def all_meet_congruences(lat: Lattice, cap: int = PARTITION_CAP) -> list[Relatio
 
 def find_meet_congruence_with_kernel(lat: Lattice, d: frozenset) -> Relation | None:
     """The least meet congruence with kernel d, the first in _pair_key
-    order, or None (module docstring). Raises InvalidParameter for an id
-    outside 0..n-1."""
-    want = to_mask(lat, d)
-    if not want >> lat.top & 1:
+    order, or None: theta_f for f the meet of d when d is up f (module
+    docstring). Raises InvalidParameter for an id outside 0..n-1."""
+    want, meet = to_mask(lat, d), lat._meet
+    f = functools.reduce(lambda x, y: meet[x][y], members(want), lat.top)
+    if want != lat._up[f]:
         return None
-    cls = [want if want >> x & 1 else 1 << x for x in lat.elements]
-    rows = _close(meet_bits(lat), {}, cls, [want])
-    return _pairs(rows) if rows[lat.top] == want else None
+    below = [meet[x][f] for x in lat.elements]
+    return _pairs(tuple(sum(1 << y for y, v in enumerate(below) if v == u) for u in below))
 
 
 def _has_sp_plus(lat: Lattice, rows: Rows) -> bool:
@@ -598,13 +593,10 @@ def check_filters_vs_deductive_systems(lat: Lattice,
     comp = is_complemented(lat)
     modular = comp and is_modular(lat)
     systems = [(d,) for d in all_deductive_systems(lat, cap).masks]
-    index = implies_index(lat)
 
     def implication_closed(d):
-        # Row x of the index, for each x in d: no value outside d at a
-        # column inside d.
-        nd = ~d
-        return not any(v & nd and cols & d for x in members(d) for v, cols in index[x])
+        within = _within_rows(lat, d)
+        return not any(d & ~within[x] for x in members(d))
 
     return (
         law("every deductive system an order filter",
@@ -621,8 +613,11 @@ def check_filters_vs_deductive_systems(lat: Lattice,
 def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckResult, ...]:
     """Family structure: the bounds, intersection closure, Theta
     reflexivity and symmetry, and the same closure for compatible
-    systems. Only "bottom is {1}" and reflexivity are decided; the rest
-    hold for every implication table and are reported as passed:
+    systems. Reflexivity is decided on the least system, first in the
+    scan and within every other (intersection closed, below): Theta(D) is
+    reflexive when every x->x lies within D, and then so is each larger one.
+    Only "bottom is {1}" and reflexivity are decided; the rest hold for
+    every implication table and are reported as passed:
     - Top is the carrier: it holds 1 and has nothing outside it, so
       _is_deductive accepts it, and it comes last in (size, ids) order.
     - Intersection closed: D & E is an up-set holding 1, so a candidate.
@@ -646,7 +641,7 @@ def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckRe
         CheckResult("intersection closed", True, None, comp),
         law("theta reflexive and symmetric",
             lambda d, rows: all(row >> x & 1 for x, row in enumerate(rows)),
-            ((d, _theta(lat, d)) for d in systems), comp,
+            [(systems[0], _theta(lat, systems[0]))], comp,
             lambda d, rows: f"{_sets(lat, 'D')(d)} not reflexive"),
         CheckResult("carrier compatible", True, None, comp),
         CheckResult("compatible systems intersection closed", True, None, comp),

@@ -188,7 +188,7 @@ def test_verify_rejects_max_elements_below_one(capsys, monkeypatch, cap, source)
     def built(*_):
         raise AssertionError("a lattice was built")
     for name in ("named_lattice", "load_lattice_file", "default_corpus",
-                 "enumerate_lattices"):
+                 "complemented_sweep"):
         monkeypatch.setattr(climod, name, built)
     code, out, err = run(capsys, "verify", *source, "--max-elements", cap)
     assert (code, out) == (2, "")
@@ -327,6 +327,20 @@ def test_input_errors(capsys, tmp_path):
     assert code == 2 and "line 3" in err
     bad.write_bytes(b"lattice x\nelements: 0 \xff 1\ncovers: 0<1\n")
     code, out, err = run(capsys, "info", "--file", str(bad))
+    assert code == 2 and "line 2: not UTF-8: byte 0xff" in err and not out
+
+
+def test_byte_order_mark_is_ignored(capsys, tmp_path):
+    """A file that starts with a UTF-8 byte-order mark reads as the same
+    file without it; a bad byte after the mark keeps its line number."""
+    text = b"lattice pent\nelements: 0 a b c 1\ncovers: 0<a a<c c<1 0<b b<1\n"
+    plain, marked = tmp_path / "plain.lat", tmp_path / "marked.lat"
+    plain.write_bytes(text)
+    marked.write_bytes(b"\xef\xbb\xbf" + text)
+    want = run(capsys, "info", "--file", str(plain))
+    assert run(capsys, "info", "--file", str(marked)) == want and want[0] == 0
+    marked.write_bytes(b"\xef\xbb\xbflattice x\nelements: 0 \xff 1\ncovers: 0<1\n")
+    code, out, err = run(capsys, "info", "--file", str(marked))
     assert code == 2 and "line 2: not UTF-8: byte 0xff" in err and not out
 
 

@@ -7,8 +7,8 @@ import pytest
 import latkit
 
 from latkit.core import is_complemented, is_modular
-from latkit.corpus import (enumerate_lattices, make_boolean, make_chain,
-                           make_fig2, make_M3, make_Mn, make_N5)
+from latkit.corpus import (default_corpus, enumerate_lattices, make_boolean,
+                           make_chain, make_fig2, make_M3, make_Mn, make_N5)
 from latkit.deduction import (all_deductive_systems, all_meet_congruences,
                               all_partitions, check_compatible_kernel_recovery,
                               check_deductive_family,
@@ -20,10 +20,12 @@ from latkit.deduction import (all_deductive_systems, all_meet_congruences,
                               has_sp_plus, is_compatible_ds,
                               is_deductive_system, is_equivalence, is_filter,
                               is_meet_congruence, is_order_filter, kernel,
-                              order_filters, relation_of_blocks, theta)
+                              filters, order_filters, relation_of_blocks, theta)
 from latkit.errors import InvalidParameter, SizeCapExceeded
+from latkit.suite import lattice_suite
 
-from .oracles import brute_deductive_systems, brute_meet_congruences
+from .oracles import _brute_filter, _subsets, brute_deductive_systems, brute_meet_congruences
+from .strategies import fresh
 
 
 def ids_of(lat, labels):
@@ -244,3 +246,41 @@ def test_compatibility_accepts_plain_sets():
     for d in all_deductive_systems(lat).systems:
         assert is_compatible_ds(lat, set(d)) == (d in compat)
     assert not is_compatible_ds(lat, {lat.bottom})
+
+
+def test_filters_are_the_up_sets_on_every_small_lattice():
+    """filters and is_filter against the frozenset definition on every
+    subset of every lattice with 2 to 7 elements."""
+    tried = 0
+    for n in range(2, 8):
+        for lat in enumerate_lattices(n):
+            subsets = _subsets(lat)
+            assert filters(lat) == [f for f in subsets if _brute_filter(lat, f)], lat
+            for s in subsets:
+                assert is_filter(lat, s) == _brute_filter(lat, s), (lat, sorted(s))
+            tried += len(subsets)
+    assert tried == 7948
+
+
+def test_reflexivity_reads_theta_of_the_least_system():
+    """The family is intersection closed, so Theta of its least member
+    decides reflexivity; B:4 has 16 systems but one Theta is built."""
+    lat = make_boolean(4)
+    check_deductive_family(lat)
+    assert list(lat._memo["theta"]) == [all_deductive_systems(lat).masks[0]]
+
+
+def test_suite_walks_the_order_filters_once(monkeypatch):
+    """The filters are read off the up-sets, so the only order-filter
+    walk of a lattice_suite pass is the one behind the memoised family."""
+    import latkit.deduction as dmod
+    walk, calls = dmod._order_filter_masks, []
+
+    def counted(lat):
+        calls.append(lat)
+        return walk(lat)
+    monkeypatch.setattr(dmod, "_order_filter_masks", counted)
+    for e in default_corpus():
+        calls.clear()
+        lattice_suite(fresh(e.lattice))
+        assert len(calls) == 1, e.name

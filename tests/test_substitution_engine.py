@@ -113,3 +113,18 @@ def test_kernel_closure_matches_the_walk_past_the_partition_cap():
             if top_only and not m >> lat.top & 1:
                 continue
             assert find_meet_congruence_with_kernel(lat, to_set(m)) == firsts.get(m), (lat, m)
+
+
+def test_kernel_query_runs_no_closure(monkeypatch):
+    """With the closure engine made to raise, the kernel query still
+    matches the walk on every subset of fig2: it reads theta_f off the
+    up-sets."""
+    import latkit.deduction as dmod
+    lat = make_fig2()
+    firsts = first_kernel_matches(lat, 16)
+
+    def closed(*_):
+        raise AssertionError("_close was called")
+    monkeypatch.setattr(dmod, "_close", closed)
+    for m in range(1 << lat.n):
+        assert find_meet_congruence_with_kernel(lat, to_set(m)) == firsts.get(m), m
