@@ -17,12 +17,11 @@ frozensets of ordered id pairs.
 The within-D rows and Theta are memoised on the lattice per subset
 mask, and Theta reads the within-D rows; both are shared by the five
 checks, the compatibility verdict and the public theta. The verdict
-itself is not memoised: verify decides each system once. Both the
-within-D rows and the hypothesis step of the verdict read
-connectives.implies_index, so they work on the few distinct values of
-each row of the implication table instead of on its n columns; the
-hypothesis step splits the table's distinct values, memoised per
-lattice, into those inside and outside D.
+itself is not memoised: verify decides each system once. The within-D
+rows read connectives.implies_index, so they work on the few distinct
+values of each row of the implication table, not on its n columns. The
+hypothesis step of the verdict reads no rows: on a deductive D it fails
+exactly when the empty set and a set outside D are values of the table.
 
 One substitution engine serves three tables. For a table of cells,
 table[a][c] a subset mask, a relation has the substitution property of
@@ -61,7 +60,9 @@ theta_f, relating x and y when x ^ f = y ^ f, is a meet congruence with
 kernel up f, within every meet congruence E with that kernel: f E 1, so
 x = x ^ 1 E x ^ f = y ^ f E y. So find_meet_congruence_with_kernel
 returns theta_f, the least answer, smaller than every other and first
-in _pair_key order (Graetzer, "Lattice Theory: Foundation", 2011).
+in _pair_key order (Graetzer, "Lattice Theory: Foundation", 2011), and
+check_meet_congruence_kernels reads the n theta_f alone: the partition
+walk now serves only all_meet_congruences.
 
 check_substitution_equivalences lists every equivalence with SP->. The
 least one is C(identity), and from each member E found, the closure of
@@ -96,7 +97,7 @@ Relation = frozenset
 Rows = tuple
 
 SUBSET_CAP = 20
-PARTITION_CAP = 10
+PARTITION_CAP = 10  # bounds no work in verify; kept only for byte-stable output
 SUBSTITUTION_CAP = 1000  # at least Bell(6): no lattice of n <= 6 exceeds it
 
 
@@ -373,10 +374,13 @@ def find_meet_congruence_with_kernel(lat: Lattice, d: frozenset) -> Relation | N
     docstring). Raises InvalidParameter for an id outside 0..n-1."""
     want, meet = to_mask(lat, d), lat._meet
     f = functools.reduce(lambda x, y: meet[x][y], members(want), lat.top)
-    if want != lat._up[f]:
-        return None
-    below = [meet[x][f] for x in lat.elements]
-    return _pairs(tuple(sum(1 << y for y, v in enumerate(below) if v == u) for u in below))
+    return _pairs(_theta_f(lat, f)) if want == lat._up[f] else None
+
+
+def _theta_f(lat: Lattice, f: int) -> Rows:
+    """theta_f as rows: x and y related when x ^ f = y ^ f."""
+    below = [lat._meet[x][f] for x in lat.elements]
+    return tuple(sum(1 << y for y, v in enumerate(below) if v == u) for u in below)
 
 
 def _has_sp_plus(lat: Lattice, rows: Rows) -> bool:
@@ -405,16 +409,23 @@ def _substitutes(table, rows: Rows, target) -> bool:
     table[a][c] relates by target to each y in table[b][c]: reach[c], the
     union of table[b][c] over the row of a, lies within allow[c], the
     target rows of all members of table[a][c] intersected. Row a is
-    decided at once: reach | allow equals allow. Both are cached for the
-    call: reach once per distinct row, each intersection once per
-    distinct cell."""
+    decided at once: reach | allow equals allow. Both are cached in a
+    dict for the call: reach once per distinct row, each intersection
+    once per distinct cell."""
     full = (1 << len(table)) - 1
-    allowed = functools.cache(lambda xs: intersect_rows(target, xs, full))
-    reach = functools.cache(lambda row: _column_union(table, row))
+    allowed, reached = {}, {}
     for a, row in enumerate(rows):
         if row:
-            allow = list(map(allowed, table[a]))
-            if list(map(operator.or_, reach(row), allow)) != allow:
+            allow = []
+            for xs in table[a]:
+                m = allowed.get(xs)
+                if m is None:
+                    m = allowed[xs] = intersect_rows(target, xs, full)
+                allow.append(m)
+            reach = reached.get(row)
+            if reach is None:
+                reach = reached[row] = _column_union(table, row)
+            if list(map(operator.or_, reach, allow)) != allow:
                 return False
     return True
 
@@ -433,24 +444,17 @@ def is_compatible_ds(lat: Lattice, d) -> bool:
 
 
 def _is_compatible(lat: Lattice, d: int) -> bool:
-    """is_compatible_ds on a mask."""
+    """is_compatible_ds on a mask. Hypothesis step: for a value X within
+    d, no value outside d lies within W(X), the t with x->t within d for
+    all x in X. As d is deductive, W(X) lies within d unless X is empty
+    (within-d rows of members of d do), and W of the empty X is the carrier."""
     if not _is_deductive(lat, d):
         return False
-    full = (1 << lat.n) - 1
-    sub = _within_rows(lat, d)
-    # For a hypothesis set X = a->b within d, within(X) holds the t with
-    # x->t within d for every x in X; no implication set outside d may
-    # lie inside it.
     values = lat.memo("implies_values",
                       lambda: {v for row in implies_index(lat) for v, _ in row})
-    outside = [v for v in values if v & ~d]
-    for xs in values:
-        if not xs & ~d:
-            within = intersect_rows(sub, xs, full)
-            if any(not m & ~within for m in outside):
-                return False
-
-    return _substitutes(implies_masks(lat), _theta(lat, d), sub)
+    if 0 in values and any(v & ~d for v in values):
+        return False
+    return _substitutes(implies_masks(lat), _theta(lat, d), _within_rows(lat, d))
 
 
 def compatible_systems(lat: Lattice, cap: int = SUBSET_CAP) -> list[frozenset]:
@@ -629,10 +633,9 @@ def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckRe
       relation, so every step of _is_compatible passes.
     - Compatible systems intersection closed: for compatible D, E and F =
       D & E, within_F = within_D & within_E, so Theta(F) = Theta(D) &
-      Theta(E) and F's substitution step follows from D's and E's. If a
-      value m not within D lay within W_F(xs) = W_D(xs) & W_E(xs) for a
-      value xs within F, it would lie within W_D(xs) with xs within D,
-      which D's verdict excludes."""
+      Theta(E) and F's substitution step follows from D's and E's. F's
+      hypothesis step fails only if the empty set and a value outside F,
+      so outside D or E, are values, and then D's or E's fails."""
     comp = is_complemented(lat)
     systems = all_deductive_systems(lat, cap).masks
     return (
@@ -652,9 +655,16 @@ def check_deductive_family(lat: Lattice, cap: int = SUBSET_CAP) -> tuple[CheckRe
 def check_meet_congruence_kernels(lat: Lattice,
                                   cap: int = PARTITION_CAP) -> tuple[CheckResult, ...]:
     """Kernels of meet congruences are deductive systems, and theta of the
-    kernel refines the congruence (complemented modular lattices)."""
+    kernel refines the congruence (complemented modular lattices), both
+    decided on the n theta_f in _pair_key order: each E with kernel up f
+    holds theta_f and comes after it (module docstring), and a law failing
+    on E fails on theta_f, so the walk over every E fails first alike."""
+    if lat.n > cap:
+        raise SizeCapExceeded(
+            f"congruence enumeration needs at most {cap} elements, got {lat.n}")
     asserted = is_complemented(lat) and is_modular(lat)
-    kernels = [(_kernel(lat, rows), rows) for rows in _meet_congruence_rows(lat, cap)]
+    kernels = sorted(((lat._up[f], _theta_f(lat, f)) for f in lat.elements),
+                     key=lambda t: _pair_key(t[1]))
     return (
         law("kernel of every meet congruence a deductive system",
             lambda k, rows: _is_deductive(lat, k), kernels, asserted,

@@ -6,10 +6,12 @@ import pytest
 
 import latkit
 
-from latkit.core import is_complemented, is_modular
+from latkit.connectives import implies_masks, implies_table
+from latkit.core import is_complemented, is_modular, to_mask
 from latkit.corpus import (default_corpus, enumerate_lattices, make_boolean,
                            make_chain, make_fig2, make_M3, make_Mn, make_N5)
-from latkit.deduction import (all_deductive_systems, all_meet_congruences,
+from latkit.deduction import (_is_deductive, _substitutes, _theta, _within_rows,
+                              all_deductive_systems, all_meet_congruences,
                               all_partitions, check_compatible_kernel_recovery,
                               check_deductive_family,
                               check_filters_vs_deductive_systems,
@@ -24,8 +26,9 @@ from latkit.deduction import (all_deductive_systems, all_meet_congruences,
 from latkit.errors import InvalidParameter, SizeCapExceeded
 from latkit.suite import lattice_suite
 
-from .oracles import _brute_filter, _subsets, brute_deductive_systems, brute_meet_congruences
-from .strategies import fresh
+from .oracles import (_brute_filter, _subsets, brute_deductive_systems,
+                      brute_is_compatible_ds, brute_meet_congruences)
+from .strategies import corrupted, fresh, place
 
 
 def ids_of(lat, labels):
@@ -284,3 +287,27 @@ def test_suite_walks_the_order_filters_once(monkeypatch):
         calls.clear()
         lattice_suite(fresh(e.lattice))
         assert len(calls) == 1, e.name
+
+
+def test_hypothesis_step_alone_rejects_some_systems():
+    """On a deductive D the hypothesis step of is_compatible_ds fails
+    exactly when the empty set and a set outside D are values of ->. It
+    is live: it alone rejects these systems, whose Theta passes the
+    substitution step, on a real non-complemented lattice and on N5 with
+    a->b emptied. On every subset of both, the verdict agrees with
+    brute_is_compatible_ds."""
+    six = fresh(enumerate_lattices(6)[8])
+    n5 = make_N5()
+    emptied = fresh(n5)
+    place(emptied, "implies_table",
+          corrupted(implies_table(n5), "empty", n5.id_of("a"), n5.id_of("b"), 0))
+    assert not is_complemented(six) and is_complemented(emptied)
+    for work, want in ((six, [{"x5"}, {"x2", "x5"}]), (emptied, [{"1"}, {"b", "1"}])):
+        it, rejected = implies_table(work), []
+        for d in _subsets(work):
+            ok, m = is_compatible_ds(work, d), to_mask(work, d)
+            assert ok == brute_is_compatible_ds(work, it, d), (work.labels, sorted(d))
+            if not ok and _is_deductive(work, m) and _substitutes(
+                    implies_masks(work), _theta(work, m), _within_rows(work, m)):
+                rejected.append({work.label(x) for x in d})
+        assert rejected == want, work.labels

@@ -1,8 +1,9 @@
 """One substitution engine over three tables: is_meet_congruence,
 has_sp_plus and has_sp_implies against their definitions on arbitrary
-relations and corrupted tables, and the kernel closure of
+relations and corrupted tables; the kernel closure of
 find_meet_congruence_with_kernel against the first kernel match of the
-partition walk."""
+partition walk; and check_meet_congruence_kernels, which reads the n
+theta_f, against its two laws run over the whole walk."""
 
 import itertools
 import random
@@ -12,17 +13,21 @@ from hypothesis import strategies as st
 
 from latkit.complementation import complement_sets
 from latkit.connectives import implies_table
-from latkit.core import to_set
-from latkit.corpus import enumerate_lattices, make_boolean, make_fig2
-from latkit.deduction import (PARTITION_CAP, _kernel, _meet_congruence_rows,
-                              _pairs, all_partitions,
+from latkit.core import format_element_set, is_complemented, is_modular, members, to_set
+from latkit.corpus import default_corpus, enumerate_lattices, make_boolean, make_fig2
+from latkit.deduction import (PARTITION_CAP, _is_deductive, _kernel,
+                              _meet_congruence_rows, _pairs, _theta,
+                              all_partitions, check_meet_congruence_kernels,
                               find_meet_congruence_with_kernel, has_sp_implies,
                               has_sp_plus, is_meet_congruence,
                               relation_of_blocks)
+from latkit.report import PropertyReport, law
+from latkit.suite import lattice_suite
 
 from .oracles import (brute_has_sp_implies, brute_has_sp_plus,
                       brute_is_equivalence, brute_is_meet_congruence)
-from .strategies import SMALL, lattices_with_tables
+from .strategies import SMALL, fresh, lattices_with_tables
+from .test_witnesses import suite_variants
 
 
 def verdicts(lat, rels) -> set:
@@ -128,3 +133,52 @@ def test_kernel_query_runs_no_closure(monkeypatch):
     monkeypatch.setattr(dmod, "_close", closed)
     for m in range(1 << lat.n):
         assert find_meet_congruence_with_kernel(lat, to_set(m)) == firsts.get(m), m
+
+
+def walked_kernel_report(lat, cap: int) -> PropertyReport:
+    """check_meet_congruence_kernels by its definition: both laws over
+    every meet congruence of the partition walk, in _pair_key order."""
+    asserted = is_complemented(lat) and is_modular(lat)
+    kernels = [(_kernel(lat, rows), rows) for rows in _meet_congruence_rows(lat, cap)]
+    witness = lambda k, rows: f"kernel={format_element_set(lat, members(k))}"
+    return PropertyReport("meet congruence kernels", (
+        law("kernel of every meet congruence a deductive system",
+            lambda k, rows: _is_deductive(lat, k), kernels, asserted, witness),
+        law("theta of kernel within the congruence",
+            lambda k, rows: all(t & ~r == 0 for t, r in zip(_theta(lat, k), rows)),
+            kernels, asserted, witness),
+    ))
+
+
+def test_kernel_check_matches_the_walk():
+    """Every lattice with 2 to 7 elements, fig2 and B:4, and the
+    real and corrupted-table variants of the default corpus and of every
+    lattice with at most 6 elements: the theta_f check gives the same
+    results, witnesses included, as its laws over the whole walk. Both
+    laws fail somewhere, asserted and not."""
+    lats = [lat for n in range(2, 8) for lat in enumerate_lattices(n)]
+    works = [fresh(lat) for lat in lats + [make_fig2(), make_boolean(4)]]
+    for i, lat in enumerate([e.lattice for e in default_corpus()] + list(SMALL)):
+        works += [work for _, work in suite_variants(lat, random.Random(i))]
+    failed = set()
+    for work in works:
+        got = check_meet_congruence_kernels(work, 16)
+        assert got == walked_kernel_report(work, 16), (work.name, work.labels)
+        failed |= {(r.name, r.asserted) for r in got.results if not r.passed}
+    assert failed == {(name, asserted) for asserted in (True, False) for name in
+                      ("kernel of every meet congruence a deductive system",
+                       "theta of kernel within the congruence")}
+
+
+def test_suite_runs_no_partition_walk(monkeypatch):
+    """With the partition walk and the meet-congruence enumeration made
+    to raise, lattice_suite still runs on every default-corpus lattice:
+    the kernel check reads theta_f."""
+    import latkit.deduction as dmod
+
+    def walk(*_):
+        raise AssertionError("the partition walk was called")
+    monkeypatch.setattr(dmod, "_partitions", walk)
+    monkeypatch.setattr(dmod, "_meet_congruence_rows", walk)
+    for e in default_corpus():
+        assert len(lattice_suite(fresh(e.lattice))) == 20, e.name

@@ -22,12 +22,18 @@ from .strategies import SMALL, corrupted, fresh, place
 
 VERIFY_JSON_SHA256 = "2b42af97c3efa374bf6aef12799fe6de17a2705a0d1c61308b7458954f26d11a"
 
-# sha256 of the standard output of three more verify runs: the
+# sha256 of the standard output of five more verify runs: the
 # complemented lattices up to 7 elements, the largest diamond of the
-# builtins, and the text report of the default corpus.
+# builtins, the text report of the default corpus, and B:4 and fig2, the
+# default-corpus lattices over the partition cap, with the cap raised so
+# their kernel check runs (they have 2,480 and 503 meet congruences).
 VERIFY_OUTPUT_SHA256 = {
     "verify --corpus 7 --seed 3 --format json":
         "2bd5a279ccb0bd2bfde841288e167d596d5eb13b6e2aef472788c490ed0495b2",
+    "verify --lattice B:4 --max-partitions 16 --format json":
+        "c63d318b60d762d41ba373234f02a1978cffc07e9c7108bfcd7da98ad041fe77",
+    "verify --lattice fig2 --max-partitions 16 --format json":
+        "2067091f8cd10eb0277558de90fcbd02ffbd5ec4f8655b49ad5032ffc2a28860",
     "verify --lattice M:8 --format json":
         "f6fabdc3413c49b6e9ed86e136ad04624d2fb3a5e9a03b83025bd394ca15b435",
     "verify --seed 0":
