@@ -133,7 +133,6 @@ def closed_masks(lat: Lattice) -> tuple[int, ...]:
         fam = {full}
         for g in complement_masks(lat):
             fam |= {g & s for s in fam}
-            fam.add(g)
         return tuple(sorted(fam, key=subset_key))
     return lat.memo("closed_masks", compute)
 

@@ -37,6 +37,7 @@ from itertools import product
 from .complementation import complement_masks, dblplus_masks, plus_mask
 from .core import (Lattice, check_ids, format_element_set, is_complemented, is_modular,
                    labelled, meet_closed_mask, members, to_mask, to_set)
+from .errors import InvalidParameter
 from .report import CheckResult, PropertyReport, law, row_law
 from .setops import intersect_rows, mask_join, mask_le1, mask_le2, mask_meet
 
@@ -199,7 +200,7 @@ def op_table(lat: Lattice, which: str) -> OpTable:
         return OpTable("implies", implies_table(lat))
     if which == "odot":
         return OpTable("odot", odot_table(lat))
-    raise ValueError(f"unknown operation {which!r}")
+    raise InvalidParameter(f"unknown operation {which!r}")
 
 
 def is_minimal_in_dblplus(lat: Lattice, a: int) -> bool:

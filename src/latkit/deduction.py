@@ -61,8 +61,22 @@ kernel up f, within every meet congruence E with that kernel: f E 1, so
 x = x ^ 1 E x ^ f = y ^ f E y. So find_meet_congruence_with_kernel
 returns theta_f, the least answer, smaller than every other and first
 in _pair_key order (Graetzer, "Lattice Theory: Foundation", 2011), and
-check_meet_congruence_kernels reads the n theta_f alone: the partition
-walk now serves only all_meet_congruences.
+check_meet_congruence_kernels reads the n theta_f alone.
+
+The meet congruences are exactly the intersections of the n two-class
+equivalences ~f, x ~f y when f <= x iff f <= y: every semilattice is a
+subdirect product of two-element ones (Graetzer, same book). Each ~f is
+a meet congruence, as f <= x ^ c iff f <= x and f <= c. Conversely let
+E be a meet congruence and x, y in different classes, and let F be the
+z with x ^ z E x. F holds x; it is up-closed, as z <= w gives x ^ w E
+x ^ z ^ w = x ^ z E x; meet closed, as x ^ z ^ w E x ^ w E x; and a
+union of E-classes, as z E z' gives x ^ z E x ^ z'. So F is up f for
+its meet f, and E lies within ~f. If y is outside F, ~f separates x and
+y. Otherwise x ^ y E x, and the same set built from y misses x, or x E
+x ^ y E y; its ~g separates them. So E is the intersection of the ~f
+that contain it, and all_meet_congruences closes the n ~f under
+intersection from the full relation, the idiom of
+complementation.closed_masks.
 
 check_substitution_equivalences lists every equivalence with SP->. The
 least one is C(identity), and from each member E found, the closure of
@@ -335,33 +349,18 @@ def _pair_key(rows: Rows):
 
 
 def _meet_congruence_rows(lat: Lattice, cap: int) -> list[Rows]:
-    """All meet-compatible equivalences, by the partition walk pruned
-    with ok_with: elements are placed in a meet-friendly order so violated
-    constraints are final and prune the branch immediately."""
+    """All meet congruences as rows, in _pair_key order: the intersection
+    closure of the n two-class congruences ~f (module docstring), grown
+    from the full relation one up-set at a time."""
     if lat.n > cap:
         raise SizeCapExceeded(
             f"congruence enumeration needs at most {cap} elements, got {lat.n}")
-    # Process in an order where the meet of two placed elements is placed.
-    order = sorted(lat.elements, key=lambda i: (lat._down[i].bit_count(), i))
-    meet = lat._meet
-
-    def ok_with(blocks, bid, e: int) -> bool:
-        # For each m in e's block, e ^ c and m ^ c share a block for every
-        # placed c. A pair a, b placed before e needs no check against e:
-        # u = a ^ e lies below a and v = b ^ e below b, so both were placed
-        # when the later of a and b was, and its checks with c = u and
-        # c = v put u, a ^ b ^ e and v in one block.
-        me = meet[e]
-        for m in blocks[bid[e]]:
-            if m != e:
-                mm = meet[m]
-                for c in bid:
-                    if bid[me[c]] != bid[mm[c]]:
-                        return False
-        return True
-
-    return sorted((_block_rows(lat.n, p) for p in _partitions(order, ok_with)),
-                  key=_pair_key)
+    full = (1 << lat.n) - 1
+    fam = {(full,) * lat.n}
+    for u in lat._up:
+        two = tuple(u if u >> x & 1 else full & ~u for x in lat.elements)
+        fam |= {tuple(map(operator.and_, rows, two)) for rows in fam}
+    return sorted(fam, key=_pair_key)
 
 
 def all_meet_congruences(lat: Lattice, cap: int = PARTITION_CAP) -> list[Relation]:
@@ -447,12 +446,16 @@ def _is_compatible(lat: Lattice, d: int) -> bool:
     """is_compatible_ds on a mask. Hypothesis step: for a value X within
     d, no value outside d lies within W(X), the t with x->t within d for
     all x in X. As d is deductive, W(X) lies within d unless X is empty
-    (within-d rows of members of d do), and W of the empty X is the carrier."""
+    (within-d rows of members of d do), and W of the empty X is the carrier:
+    the step fails when the union of the values, taken only if one is
+    empty, leaves d. That union is memoised."""
     if not _is_deductive(lat, d):
         return False
-    values = lat.memo("implies_values",
-                      lambda: {v for row in implies_index(lat) for v, _ in row})
-    if 0 in values and any(v & ~d for v in values):
+
+    def hypothesis_mask():
+        values = [v for row in implies_index(lat) for v, _ in row]
+        return functools.reduce(operator.or_, values) if 0 in values else 0
+    if lat.memo("hypothesis_mask", hypothesis_mask) & ~d:
         return False
     return _substitutes(implies_masks(lat), _theta(lat, d), _within_rows(lat, d))
 
@@ -462,43 +465,27 @@ def compatible_systems(lat: Lattice, cap: int = SUBSET_CAP) -> list[frozenset]:
 
 
 # -- partitions and closures -------------------------------------------
-#
-# _partitions is the one partition walk: all_partitions lists every
-# partition, and the meet-congruence search prunes it with its fits test.
-# Each id in turn joins every open block, oldest first, then a new one.
 
-def _partitions(order, fits=None) -> list[tuple[tuple[int, ...], ...]]:
-    """Every partition of the ids in order, as tuples of blocks, in walk
-    order. fits(blocks, bid, e) is asked after each placement of e, with
-    bid mapping every placed id to its block index; a false answer prunes
-    the branch."""
+def all_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
+    """Every partition of range(n), as tuples of blocks: each id in turn
+    joins every open block, oldest first, then a new one."""
     blocks: list[list[int]] = []
-    bid: dict[int, int] = {}
     out = []
 
-    def walk(k: int):
-        if k == len(order):
+    def walk(e: int):
+        if e == n:
             out.append(tuple(map(tuple, blocks)))
             return
-        e = order[k]
         for i in range(len(blocks) + 1):
             if i == len(blocks):
                 blocks.append([])
             blocks[i].append(e)
-            bid[e] = i
-            if fits is None or fits(blocks, bid, e):
-                walk(k + 1)
+            walk(e + 1)
             blocks[i].pop()
         blocks.pop()
-        del bid[e]
 
     walk(0)
     return out
-
-
-def all_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every partition of range(n), as tuples of blocks."""
-    return _partitions(range(n))
 
 
 def _close(table, unions: dict, cls: list[int], dirty: list[int]) -> Rows:
@@ -658,7 +645,8 @@ def check_meet_congruence_kernels(lat: Lattice,
     kernel refines the congruence (complemented modular lattices), both
     decided on the n theta_f in _pair_key order: each E with kernel up f
     holds theta_f and comes after it (module docstring), and a law failing
-    on E fails on theta_f, so the walk over every E fails first alike."""
+    on E fails on theta_f, so the laws run over every E, each an
+    intersection of the ~f, fail first alike."""
     if lat.n > cap:
         raise SizeCapExceeded(
             f"congruence enumeration needs at most {cap} elements, got {lat.n}")

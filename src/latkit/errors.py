@@ -25,8 +25,8 @@ class TrivialLattice(LatticeError):
     """Bottom equals top; one-element lattices are rejected."""
 
 
-class InvalidParameter(LatticeError):
-    """A construction parameter is out of range or malformed."""
+class InvalidParameter(LatticeError, ValueError):
+    """A parameter is out of range or malformed; a ValueError too."""
 
 
 class SizeCapExceeded(LatticeError):

@@ -12,6 +12,8 @@ from latkit.connectives import (check_adjointness, check_conjunction_laws,
                                 is_mn_shaped, odot, odot_sets, op_table)
 from latkit.core import is_complemented, is_modular
 from latkit.corpus import make_boolean, make_fig2, make_M3, make_Mn, make_N5
+from latkit.errors import LatticeError
+from latkit.render import render_op_table
 from latkit.setops import set_le
 
 POOL = [make_N5(), make_M3(), make_boolean(3), make_fig2()]
@@ -139,6 +141,12 @@ def test_mn_shape_predicate(m3, n5, fig2):
 def test_op_table_rejects_unknown(n5):
     with pytest.raises(ValueError):
         op_table(n5, "nand")
+
+
+@pytest.mark.parametrize("fn", [op_table, render_op_table])
+def test_unknown_operation_is_a_lattice_error(n5, fn):
+    with pytest.raises(LatticeError, match="unknown operation 'nand'"):
+        fn(n5, "nand")
 
 
 @settings(max_examples=150, deadline=None)

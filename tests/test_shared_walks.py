@@ -3,16 +3,20 @@ tests/oracles.py: colour classes against the start that also carries
 cover counts, height and depth; the `inclusion covers:` line and the
 deductive-system join table against a frozenset scan; the partition walk
 against a recursive generator, in order; and the meet congruences
-against a scan of every partition."""
+against a scan of every partition up to seven elements, and against
+pinned digests on four larger lattices."""
+
+import hashlib
 
 import pytest
 
 from latkit.cli import main
 from latkit.core import _wl_colors, load_lattice_file
 from latkit.corpus import (direct_product, enumerate_lattices, make_boolean,
-                           make_chain, make_fig2, make_M3, make_Mn)
+                           make_chain, make_fig2, make_M3, make_Mn,
+                           named_lattice)
 from latkit.deduction import (all_deductive_systems, all_meet_congruences,
-                              all_partitions)
+                              all_partitions, is_meet_congruence)
 
 from .oracles import (brute_inclusion_covers, brute_meet_congruences,
                       recursive_partitions, wl_partition)
@@ -78,3 +82,26 @@ def test_meet_congruences_match_the_partition_scan_up_to_seven():
             assert set(got) == brute_meet_congruences(lat), lat.labels
             count += 1
     assert count == 77
+
+
+# (count, sha256 over one line per congruence, repr of its sorted pairs, in
+# the order all_meet_congruences(lat, 16) gives), recorded from a pruned
+# partition walk, an enumeration independent of the intersection closure.
+MEET_CONGRUENCE_SHA256 = {
+    "fig2": (503, "0a694e869ce4ed516472ff1f4502d648003e5253a45303009335f769ec3440e4"),
+    "M:8": (265, "67c9a6e8ffc121f5cdf06f35217c972e141a8a404ee780283e8d491c85c5f0a1"),
+    "M:10": (1035, "c53581d925a55cdb378f9f2de63447abe2738f5a589af31e3027c7190b858cd4"),
+    "B:4": (2480, "14749e6cc9e8a964f958084b71f976bb6fbdd43f0e45249975b1def191b0c4ac"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MEET_CONGRUENCE_SHA256))
+def test_meet_congruence_digest_above_seven(name):
+    lat = named_lattice(name)
+    got = all_meet_congruences(lat, 16)
+    digest = hashlib.sha256()
+    for rel in got:
+        digest.update(repr(sorted(rel)).encode() + b"\n")
+    assert (len(got), digest.hexdigest()) == MEET_CONGRUENCE_SHA256[name]
+    assert len(set(got)) == len(got)
+    assert all(is_meet_congruence(lat, rel) for rel in got)

@@ -1,9 +1,10 @@
 """One substitution engine over three tables: is_meet_congruence,
 has_sp_plus and has_sp_implies against their definitions on arbitrary
 relations and corrupted tables; the kernel closure of
-find_meet_congruence_with_kernel against the first kernel match of the
-partition walk; and check_meet_congruence_kernels, which reads the n
-theta_f, against its two laws run over the whole walk."""
+find_meet_congruence_with_kernel against the first kernel match among
+all meet congruences (_meet_congruence_rows, the intersection closure of
+the n ~f); and check_meet_congruence_kernels, which reads the n theta_f,
+against its two laws run over all of them."""
 
 import itertools
 import random
@@ -87,7 +88,7 @@ def test_verdicts_meet_both_answers_on_both_kinds_of_relation():
 
 def first_kernel_matches(lat, cap: int) -> dict:
     """Kernel mask -> the first meet congruence with that kernel in the
-    order of the partition walk."""
+    _pair_key order of _meet_congruence_rows."""
     firsts = {}
     for rows in _meet_congruence_rows(lat, cap):
         firsts.setdefault(_kernel(lat, rows), _pairs(rows))
@@ -110,7 +111,7 @@ def test_kernel_closure_matches_the_walk_on_every_subset():
 
 def test_kernel_closure_matches_the_walk_past_the_partition_cap():
     """fig2 (12 elements) on every subset and B:4 (16) on every subset
-    holding the top, against the walk run with a cap of 16."""
+    holding the top, against _meet_congruence_rows run with a cap of 16."""
     for lat, top_only in ((make_fig2(), False), (make_boolean(4), True)):
         firsts = first_kernel_matches(lat, 16)
         assert len(firsts) > 1
@@ -122,8 +123,8 @@ def test_kernel_closure_matches_the_walk_past_the_partition_cap():
 
 def test_kernel_query_runs_no_closure(monkeypatch):
     """With the closure engine made to raise, the kernel query still
-    matches the walk on every subset of fig2: it reads theta_f off the
-    up-sets."""
+    matches _meet_congruence_rows on every subset of fig2: it reads
+    theta_f off the up-sets."""
     import latkit.deduction as dmod
     lat = make_fig2()
     firsts = first_kernel_matches(lat, 16)
@@ -135,9 +136,9 @@ def test_kernel_query_runs_no_closure(monkeypatch):
         assert find_meet_congruence_with_kernel(lat, to_set(m)) == firsts.get(m), m
 
 
-def walked_kernel_report(lat, cap: int) -> PropertyReport:
+def enumerated_kernel_report(lat, cap: int) -> PropertyReport:
     """check_meet_congruence_kernels by its definition: both laws over
-    every meet congruence of the partition walk, in _pair_key order."""
+    every meet congruence of _meet_congruence_rows, in _pair_key order."""
     asserted = is_complemented(lat) and is_modular(lat)
     kernels = [(_kernel(lat, rows), rows) for rows in _meet_congruence_rows(lat, cap)]
     witness = lambda k, rows: f"kernel={format_element_set(lat, members(k))}"
@@ -154,7 +155,8 @@ def test_kernel_check_matches_the_walk():
     """Every lattice with 2 to 7 elements, fig2 and B:4, and the
     real and corrupted-table variants of the default corpus and of every
     lattice with at most 6 elements: the theta_f check gives the same
-    results, witnesses included, as its laws over the whole walk. Both
+    results, witnesses included, as its laws over every meet congruence
+    (the intersection closure of the n ~f). Both
     laws fail somewhere, asserted and not."""
     lats = [lat for n in range(2, 8) for lat in enumerate_lattices(n)]
     works = [fresh(lat) for lat in lats + [make_fig2(), make_boolean(4)]]
@@ -163,7 +165,7 @@ def test_kernel_check_matches_the_walk():
     failed = set()
     for work in works:
         got = check_meet_congruence_kernels(work, 16)
-        assert got == walked_kernel_report(work, 16), (work.name, work.labels)
+        assert got == enumerated_kernel_report(work, 16), (work.name, work.labels)
         failed |= {(r.name, r.asserted) for r in got.results if not r.passed}
     assert failed == {(name, asserted) for asserted in (True, False) for name in
                       ("kernel of every meet congruence a deductive system",
@@ -171,14 +173,14 @@ def test_kernel_check_matches_the_walk():
 
 
 def test_suite_runs_no_partition_walk(monkeypatch):
-    """With the partition walk and the meet-congruence enumeration made
-    to raise, lattice_suite still runs on every default-corpus lattice:
-    the kernel check reads theta_f."""
+    """With the meet-congruence enumeration made to raise, lattice_suite
+    still runs on every default-corpus lattice: the kernel check reads
+    theta_f. (No library code walks partitions; all_partitions serves
+    tests alone.)"""
     import latkit.deduction as dmod
 
-    def walk(*_):
-        raise AssertionError("the partition walk was called")
-    monkeypatch.setattr(dmod, "_partitions", walk)
-    monkeypatch.setattr(dmod, "_meet_congruence_rows", walk)
+    def enumerate_all(*_):
+        raise AssertionError("the meet congruences were enumerated")
+    monkeypatch.setattr(dmod, "_meet_congruence_rows", enumerate_all)
     for e in default_corpus():
         assert len(lattice_suite(fresh(e.lattice))) == 20, e.name
