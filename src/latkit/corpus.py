@@ -7,13 +7,29 @@ where some pair has no meet; a finite poset with a top in which all
 binary meets exist is a lattice. It also prunes a labelling whose newest
 element could move to an earlier position that the walk fills first,
 since every completion then has an isomorph the walk reaches earlier
-(the pruning half of McKay's orderly generation). Each complete
-candidate's canonical form is computed straight from its down- and
-up-set masks, so a duplicate isomorph is rejected before any Lattice is
-built: only the first member of each isomorphism class in walk order
-becomes a Lattice, with that form stored as its canonical key. The
-pruning removes only candidates that are never first, so the output is
-the same as without it.
+(the pruning half of McKay's orderly generation).
+
+A second rule prunes twin-swapped labellings. Call placed elements
+i < i' twins from below when they have the same strict down-set and no
+element placed between them is above i. Swapping them gives another
+natural labelling of every completion: both have the same elements
+below, the elements above either have ids past i', and the elements
+between are above neither. The two labellings hold the same down-sets
+up to the first later element k whose down-set holds exactly one of i
+and i', and there they differ in the bits i and i' alone. The walk
+lists the down-sets of k holding the lower of two differing bits
+first, so if k holds i' but not i, the walk reaches the swapped
+labelling before this one, and this one is pruned; if k holds i but
+not i', this labelling is the earlier, and the pair is dropped. The
+walk keeps, for each prefix, the twin pairs that no later element has
+yet told apart.
+
+Each complete candidate's canonical form is computed straight from its
+down- and up-set masks, so a duplicate isomorph is rejected before any
+Lattice is built: only the first member of each isomorphism class in
+walk order becomes a Lattice, with that form stored as its canonical
+key. Both rules remove only candidates that are never first, so the
+output is the same as without them.
 """
 
 from __future__ import annotations
@@ -175,7 +191,7 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
         t = common.bit_length() - 1
         return t >= 0 and not common & ~(downs[t] | 1 << t)
 
-    def place(k: int):
+    def place(k: int, twins: list):
         if k == n:
             down = [m | 1 << i for i, m in enumerate(downs)]
             up = [1 << i for i in range(n)]
@@ -195,7 +211,9 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
             downs[k] = m
             if all(m >> j & 1 or meet_exists(j, k) for j in range(k)) \
                     and not reached_earlier(k, m):
-                place(k + 1)
+                untold = twins_after(twins, k, m)
+                if untold is not None:
+                    place(k + 1, untold)
         downs[k] = 0
 
     def reached_earlier(k: int, m: int) -> bool:
@@ -210,7 +228,28 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
                 return True
         return False
 
-    place(1)
+    def twins_after(twins: list, k: int, m: int):
+        # Each pair of twins from below (module docstring) that no element
+        # has told apart is (both bits, the lower bit). None when k holds
+        # the higher twin alone, as the swapped labelling comes first. Else
+        # the pairs k leaves untold, plus each (j, k) of new twins. A
+        # position below m.bit_length() cannot have down-set m, so the top
+        # opens no pair.
+        untold = []
+        for pair, low in twins:
+            held = m & pair
+            if held == pair ^ low:
+                return None
+            if held != low:
+                untold.append((pair, low))
+        above = 0
+        for j in range(k - 1, m.bit_length() - 1, -1):
+            if downs[j] == m and not above >> j & 1:
+                untold.append((1 << j | 1 << k, 1 << j))
+            above |= downs[j]
+        return untold
+
+    place(1, [])
 
     preds = [TAG_PREDICATES[t] for t in sorted(filters)]
     if preds:

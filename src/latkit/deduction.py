@@ -131,18 +131,6 @@ def _pairs(rows: Rows) -> Relation:
     return frozenset((x, y) for x, row in enumerate(rows) for y in members(row))
 
 
-def _block_rows(n: int, blocks) -> Rows:
-    """Row masks of the relation "same block"."""
-    rows = [0] * n
-    for blk in blocks:
-        m = 0
-        for a in blk:
-            m |= 1 << a
-        for a in blk:
-            rows[a] |= m
-    return tuple(rows)
-
-
 def _is_deductive(lat: Lattice, d: int) -> bool:
     if not d >> lat.top & 1:
         return False
@@ -338,10 +326,6 @@ def is_meet_congruence(lat: Lattice, rel: Relation) -> bool:
     return _is_equivalence(rows) and _substitutes(meet_bits(lat), rows, rows)
 
 
-def relation_of_blocks(blocks) -> Relation:
-    return frozenset((a, b) for blk in blocks for a in blk for b in blk)
-
-
 def _pair_key(rows: Rows):
     """Sort key of a relation: its size, then its sorted pairs."""
     pairs = tuple((x, y) for x, row in enumerate(rows) for y in members(row))
@@ -464,29 +448,7 @@ def compatible_systems(lat: Lattice, cap: int = SUBSET_CAP) -> list[frozenset]:
     return [to_set(d) for d in all_deductive_systems(lat, cap).masks if _is_compatible(lat, d)]
 
 
-# -- partitions and closures -------------------------------------------
-
-def all_partitions(n: int) -> list[tuple[tuple[int, ...], ...]]:
-    """Every partition of range(n), as tuples of blocks: each id in turn
-    joins every open block, oldest first, then a new one."""
-    blocks: list[list[int]] = []
-    out = []
-
-    def walk(e: int):
-        if e == n:
-            out.append(tuple(map(tuple, blocks)))
-            return
-        for i in range(len(blocks) + 1):
-            if i == len(blocks):
-                blocks.append([])
-            blocks[i].append(e)
-            walk(e + 1)
-            blocks[i].pop()
-        blocks.pop()
-
-    walk(0)
-    return out
-
+# -- closures ----------------------------------------------------------
 
 def _close(table, unions: dict, cls: list[int], dirty: list[int]) -> Rows:
     """C(cls) of the module docstring for the cell table, computed in

@@ -524,6 +524,23 @@ def recursive_partitions(n: int):
     yield from rec(0, [])
 
 
+def relation_of_blocks(blocks) -> frozenset:
+    """The pairs of the relation "same block"."""
+    return frozenset((a, b) for blk in blocks for a in blk for b in blk)
+
+
+def block_rows(n: int, blocks) -> tuple[int, ...]:
+    """Row masks of the relation "same block"."""
+    rows = [0] * n
+    for blk in blocks:
+        m = 0
+        for a in blk:
+            m |= 1 << a
+        for a in blk:
+            rows[a] |= m
+    return tuple(rows)
+
+
 # -- residuation-type laws by triple scans --------------------------------
 
 def brute_is_complemented(lat: Lattice) -> bool:

@@ -12,7 +12,7 @@ from latkit.corpus import (default_corpus, enumerate_lattices, make_boolean,
                            make_chain, make_fig2, make_M3, make_Mn, make_N5)
 from latkit.deduction import (_is_deductive, _substitutes, _theta, _within_rows,
                               all_deductive_systems, all_meet_congruences,
-                              all_partitions, check_compatible_kernel_recovery,
+                              check_compatible_kernel_recovery,
                               check_deductive_family,
                               check_filters_vs_deductive_systems,
                               check_meet_congruence_kernels,
@@ -22,12 +22,13 @@ from latkit.deduction import (_is_deductive, _substitutes, _theta, _within_rows,
                               has_sp_plus, is_compatible_ds,
                               is_deductive_system, is_equivalence, is_filter,
                               is_meet_congruence, is_order_filter, kernel,
-                              filters, order_filters, relation_of_blocks, theta)
+                              filters, order_filters, theta)
 from latkit.errors import InvalidParameter, SizeCapExceeded
 from latkit.suite import lattice_suite
 
 from .oracles import (_brute_filter, _subsets, brute_deductive_systems,
-                      brute_is_compatible_ds, brute_meet_congruences)
+                      brute_is_compatible_ds, brute_meet_congruences,
+                      recursive_partitions, relation_of_blocks)
 from .strategies import corrupted, fresh, place
 
 
@@ -202,7 +203,7 @@ def test_compatible_systems_form(mn3):
 def test_all_partitions_counts():
     # Bell numbers
     for n, bell in ((1, 1), (2, 2), (3, 5), (4, 15), (5, 52)):
-        assert sum(1 for _ in all_partitions(n)) == bell
+        assert sum(1 for _ in recursive_partitions(n)) == bell
 
 
 def test_modular_filters_are_deductive(corpus):

@@ -22,18 +22,18 @@ from latkit.complementation import (_polarity_proves_ortholattice, closed_masks,
 from latkit.connectives import implies_table
 from latkit.core import members, subset_key
 from latkit.corpus import default_corpus, make_boolean
-from latkit.deduction import (_pairs, _substitution_family, all_partitions,
+from latkit.deduction import (_pairs, _substitution_family,
                               check_compatible_kernel_recovery,
                               check_deductive_family,
                               check_filters_vs_deductive_systems,
                               check_meet_congruence_kernels,
-                              check_substitution_equivalences,
-                              relation_of_blocks)
+                              check_substitution_equivalences)
 
 from .oracles import (brute_closure_scan, brute_has_sp_implies,
                       brute_has_sp_plus, brute_is_compatible_ds,
                       brute_set_join, brute_set_le, brute_set_le1,
-                      brute_set_le2, brute_set_meet, brute_theta)
+                      brute_set_le2, brute_set_meet, brute_theta,
+                      recursive_partitions, relation_of_blocks)
 from .strategies import place
 
 SET_OPS = ((set_join, brute_set_join), (set_meet, brute_set_meet),
@@ -154,7 +154,7 @@ def test_closure_lattice_matches_frozenset_scan():
 
 def relations_to_try(lat, rng):
     """Every equivalence, and ten random relations."""
-    rels = [relation_of_blocks(p) for p in all_partitions(lat.n)]
+    rels = [relation_of_blocks(p) for p in recursive_partitions(lat.n)]
     pairs = [(x, y) for x in lat.elements for y in lat.elements]
     rels += [frozenset(rng.sample(pairs, rng.randrange(len(pairs)))) for _ in range(10)]
     return rels

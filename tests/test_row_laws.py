@@ -13,13 +13,13 @@ from latkit.connectives import (check_adjointness, check_conjunction_laws,
 from latkit.core import is_complemented, members
 from latkit.corpus import (default_corpus, enumerate_lattices, make_boolean,
                            make_fig2, make_Mn)
-from latkit.deduction import (_block_rows, _least_substitution_rows,
-                              _substitution_family, _substitutes, _within_rows)
+from latkit.deduction import (_least_substitution_rows, _substitution_family,
+                              _substitutes, _within_rows)
 
 from .oracles import (brute_adjointness, brute_conjunction_monotone,
                       brute_diamond_residuation, brute_implication_meet_link,
-                      brute_implication_monotone, brute_least_substitution,
-                      recursive_partitions)
+                      block_rows, brute_implication_monotone,
+                      brute_least_substitution, recursive_partitions)
 from .strategies import SMALL, corrupted, fresh, lattices_with_tables, place
 
 
@@ -106,7 +106,7 @@ def test_least_closure_drops_no_substitution_equivalence():
     lats += [lat for n in (7, 8) for lat in enumerate_lattices(n, cap=8)
              if is_complemented(lat)]
     assert len(lats) == 13 + 89
-    walks = {n: [_block_rows(n, p) for p in recursive_partitions(n)]
+    walks = {n: [block_rows(n, p) for p in recursive_partitions(n)]
              for n in {lat.n for lat in lats}}
     sizes = set()
     for lat in lats:

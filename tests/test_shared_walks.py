@@ -1,10 +1,9 @@
 """The one routine kept for each job, against independent references in
 tests/oracles.py: colour classes against the start that also carries
 cover counts, height and depth; the `inclusion covers:` line and the
-deductive-system join table against a frozenset scan; the partition walk
-against a recursive generator, in order; and the meet congruences
-against a scan of every partition up to seven elements, and against
-pinned digests on four larger lattices."""
+deductive-system join table against a frozenset scan; and the meet
+congruences against a scan of every partition up to seven elements, and
+against pinned digests on four larger lattices."""
 
 import hashlib
 
@@ -16,10 +15,9 @@ from latkit.corpus import (direct_product, enumerate_lattices, make_boolean,
                            make_chain, make_fig2, make_M3, make_Mn,
                            named_lattice)
 from latkit.deduction import (all_deductive_systems, all_meet_congruences,
-                              all_partitions, is_meet_congruence)
+                              is_meet_congruence)
 
-from .oracles import (brute_inclusion_covers, brute_meet_congruences,
-                      recursive_partitions, wl_partition)
+from .oracles import brute_inclusion_covers, brute_meet_congruences, wl_partition
 
 
 def classes(color) -> set[frozenset]:
@@ -66,11 +64,6 @@ def test_inclusion_covers_and_join_table(capsys, tmp_path, corpus):
             for j in range(k):
                 common, join = up[i] & up[j], dsl.join_table[i][j]
                 assert common >> join & 1 and not common & ~up[join], (name, i, j)
-
-
-def test_partition_walk_keeps_the_recursive_order():
-    for n in range(8):
-        assert list(all_partitions(n)) == list(recursive_partitions(n)), n
 
 
 def test_meet_congruences_match_the_partition_scan_up_to_seven():

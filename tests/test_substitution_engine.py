@@ -18,15 +18,15 @@ from latkit.core import format_element_set, is_complemented, is_modular, members
 from latkit.corpus import default_corpus, enumerate_lattices, make_boolean, make_fig2
 from latkit.deduction import (PARTITION_CAP, _is_deductive, _kernel,
                               _meet_congruence_rows, _pairs, _theta,
-                              all_partitions, check_meet_congruence_kernels,
+                              check_meet_congruence_kernels,
                               find_meet_congruence_with_kernel, has_sp_implies,
-                              has_sp_plus, is_meet_congruence,
-                              relation_of_blocks)
+                              has_sp_plus, is_meet_congruence)
 from latkit.report import PropertyReport, law
 from latkit.suite import lattice_suite
 
 from .oracles import (brute_has_sp_implies, brute_has_sp_plus,
-                      brute_is_equivalence, brute_is_meet_congruence)
+                      brute_is_equivalence, brute_is_meet_congruence,
+                      recursive_partitions, relation_of_blocks)
 from .strategies import SMALL, fresh, lattices_with_tables
 from .test_witnesses import suite_variants
 
@@ -75,7 +75,7 @@ def test_verdicts_meet_both_answers_on_both_kinds_of_relation():
     for lat in SMALL:
         if lat.n > 5:
             continue
-        rels = [relation_of_blocks(p) for p in all_partitions(lat.n)]
+        rels = [relation_of_blocks(p) for p in recursive_partitions(lat.n)]
         rels += [rel ^ {(rng.randrange(lat.n), rng.randrange(lat.n))} for rel in rels]
         pairs = list(itertools.product(lat.elements, repeat=2))
         rels += map(frozenset, itertools.combinations(pairs, 1))
@@ -175,8 +175,7 @@ def test_kernel_check_matches_the_walk():
 def test_suite_runs_no_partition_walk(monkeypatch):
     """With the meet-congruence enumeration made to raise, lattice_suite
     still runs on every default-corpus lattice: the kernel check reads
-    theta_f. (No library code walks partitions; all_partitions serves
-    tests alone.)"""
+    theta_f. (No library code walks partitions.)"""
     import latkit.deduction as dmod
 
     def enumerate_all(*_):
