@@ -5,7 +5,8 @@ order is stored as one bitmask row per element and meet/join as full n x n
 tables, so every query after construction is a table lookup. Construction
 validates the poset axioms, locates the bounds and computes the tables
 in O(n^2) from a linear extension of the order; violations raise the
-matching subclass of LatticeError.
+matching subclass of LatticeError. The lattice enumerator alone skips
+the validation, for orders its walk has already proved lattices.
 """
 
 from __future__ import annotations
@@ -250,6 +251,43 @@ class Lattice:
             for j in succ[i]:
                 up[i] |= up[j]
         return cls(labels, up, name=name)
+
+    @classmethod
+    def _natural(cls, labels: tuple, up: tuple, down: tuple, key) -> "Lattice":
+        """A lattice from the up- and down-set mask tuples of an order
+        already proved a lattice with ids forming a linear extension, its
+        canonical form stored as the canonical key. Nothing is validated:
+        the lattice enumerator calls this, and every other input goes
+        through __init__.
+
+        Ids respect the order, so 0 is the bottom and n - 1 the top. The
+        meet of a and b is above every common lower bound, so it is the
+        highest id in down[a] & down[b]. A finite poset with a top and all
+        meets has all joins: the common upper bounds of a and b include
+        the top, and their meet is above a and b and below each of them,
+        so it is the join. Every other common upper bound is above the
+        join, so the join is the lowest id in up[a] & up[b]."""
+        n = len(labels)
+        meet = [[i] * n for i in range(n)]
+        join = [[i] * n for i in range(n)]
+        for a in range(n):
+            da, ua = down[a], up[a]
+            for b in range(a + 1, n):
+                meet[a][b] = meet[b][a] = (da & down[b]).bit_length() - 1
+                common = ua & up[b]
+                join[a][b] = join[b][a] = (common & -common).bit_length() - 1
+        lat = cls.__new__(cls)
+        lat.n = n
+        lat.labels = labels
+        lat.name = ""
+        lat.bottom = 0
+        lat.top = n - 1
+        lat._up = up
+        lat._down = down
+        lat._meet = tuple(map(tuple, meet))
+        lat._join = tuple(map(tuple, join))
+        lat._memo = {"canonical_key": key}
+        return lat
 
     # -- queries -----------------------------------------------------
 
@@ -510,28 +548,6 @@ def find_n5_through_bounds(lat: Lattice):
                 if (lat._join[e][g] == top and lat._join[f][g] == top
                         and lat._meet[e][g] == bot and lat._meet[f][g] == bot):
                     return (bot, e, f, g, top)
-    return None
-
-
-def find_n5_sublattice(lat: Lattice):
-    """First pentagon sublattice anywhere: {z, e, f, g, o} with e < f,
-    g incomparable to both, common meet z and common join o."""
-    up = lat._up
-    leq = lambda x, y: up[x] >> y & 1
-    for e in lat.elements:
-        for f in lat.elements:
-            if f == e or not leq(e, f):
-                continue
-            for g in lat.elements:
-                if leq(e, g) or leq(g, e) or leq(f, g) or leq(g, f):
-                    continue
-                z = lat._meet[e][g]
-                if lat._meet[f][g] != z:
-                    continue
-                o = lat._join[e][g]
-                if lat._join[f][g] != o:
-                    continue
-                return (z, e, f, g, o)
     return None
 
 

@@ -28,8 +28,11 @@ Each complete candidate's canonical form is computed straight from its
 down- and up-set masks, so a duplicate isomorph is rejected before any
 Lattice is built: only the first member of each isomorphism class in
 walk order becomes a Lattice, with that form stored as its canonical
-key. Both rules remove only candidates that are never first, so the
-output is the same as without them.
+key. The walk has proved that candidate a lattice whose ids form a
+linear extension, so it is built from those masks by
+Lattice._natural, which fills the meet and join tables without
+validating the order again. Both rules remove only candidates that are
+never first, so the output is the same as without them.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .core import (ELEMENT_CAP, Lattice, _closed_masks, canonical_form,
                    members)
 from .errors import InvalidParameter, SizeCapExceeded
 
-ENUM_CAP = 7
+ENUM_CAP = 10
 CORPUS_ENUM_MAX = 6  # default_corpus holds the complemented lattices up to this size
 
 TAG_PREDICATES = {
@@ -179,7 +182,7 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
 
     downs = [0] * n
     full = (1 << n) - 1
-    labels = [f"x{i}" for i in range(n)]
+    labels = tuple(f"x{i}" for i in range(n))
     out: list[Lattice] = []
     seen: set = set()
 
@@ -201,9 +204,7 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
             key = canonical_form(up, down)
             if key not in seen:
                 seen.add(key)
-                lat = Lattice(labels, up)
-                lat.memo("canonical_key", lambda: key)
-                out.append(lat)
+                out.append(Lattice._natural(labels, tuple(up), tuple(down), key))
             return
         # Everything sits above the bottom, and the top above all else.
         choices = [full ^ (1 << k)] if k == n - 1 else _closed_masks(range(1, k), downs, 1)

@@ -105,7 +105,7 @@ from .core import (Lattice, _closed_masks, _positions_above_below,
                    members, subset_key, to_mask, to_set)
 from .errors import InvalidParameter, SizeCapExceeded
 from .report import SKIPPED, CheckResult, PropertyReport, law
-from .setops import intersect_rows, meet_bits
+from .setops import intersect_rows
 
 Relation = frozenset
 Rows = tuple
@@ -167,10 +167,6 @@ def _is_order_filter(lat: Lattice, f: int) -> bool:
 def _filter_masks(lat: Lattice) -> list[int]:
     """The n up-sets: a filter of a finite lattice is up its meet."""
     return sorted(lat._up, key=subset_key)
-
-
-def order_filters(lat: Lattice) -> list[frozenset]:
-    return [to_set(f) for f in _order_filter_masks(lat)]
 
 
 def is_order_filter(lat: Lattice, f: frozenset) -> bool:
@@ -315,15 +311,6 @@ def _is_equivalence(rows: Rows) -> bool:
             if not rows[y] >> x & 1 or rows[y] & ~row:
                 return False
     return True
-
-
-def is_equivalence(lat: Lattice, rel: Relation) -> bool:
-    return _is_equivalence(_rows(lat, rel))
-
-
-def is_meet_congruence(lat: Lattice, rel: Relation) -> bool:
-    rows = _rows(lat, rel)
-    return _is_equivalence(rows) and _substitutes(meet_bits(lat), rows, rows)
 
 
 def _pair_key(rows: Rows):

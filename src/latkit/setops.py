@@ -105,6 +105,3 @@ def set_le2(lat: Lattice, a: frozenset, b: frozenset) -> bool:
 def singleton(a: int) -> frozenset:
     return frozenset((a,))
 
-
-def is_singleton_of(s: frozenset, a: int) -> bool:
-    return len(s) == 1 and a in s

@@ -2,7 +2,9 @@
 
 Everything here recomputes results from first principles (definition
 scans over all subsets, all partitions, all permutations) so the fast
-library paths can be checked against structurally different code.
+library paths can be checked against structurally different code. The
+last section holds helpers that only tests call, built on the library's
+own tables.
 """
 
 from __future__ import annotations
@@ -10,8 +12,10 @@ from __future__ import annotations
 import itertools
 import random
 
-from latkit.core import Lattice, format_element_set
+from latkit.core import Lattice, format_element_set, to_set
+from latkit.deduction import _is_equivalence, _order_filter_masks, _rows, _substitutes
 from latkit.report import CheckResult, PropertyReport
+from latkit.setops import meet_bits
 
 
 def brute_complements(lat: Lattice, a: int) -> frozenset:
@@ -1013,3 +1017,43 @@ def brute_substitution_equivalences(lat: Lattice, it, comp, cap: int) -> Propert
         CheckResult(f"surveyed {len(kernels)} substitution equivalences", True, None,
                     asserted=False),
     ))
+
+
+# -- helpers that only tests call ---------------------------------------
+
+def find_n5_sublattice(lat: Lattice):
+    """First pentagon sublattice anywhere: {z, e, f, g, o} with e < f,
+    g incomparable to both, common meet z and common join o."""
+    up = lat._up
+    leq = lambda x, y: up[x] >> y & 1
+    for e in lat.elements:
+        for f in lat.elements:
+            if f == e or not leq(e, f):
+                continue
+            for g in lat.elements:
+                if leq(e, g) or leq(g, e) or leq(f, g) or leq(g, f):
+                    continue
+                z = lat._meet[e][g]
+                if lat._meet[f][g] != z:
+                    continue
+                o = lat._join[e][g]
+                if lat._join[f][g] != o:
+                    continue
+                return (z, e, f, g, o)
+    return None
+
+
+def is_singleton_of(s: frozenset, a: int) -> bool:
+    return len(s) == 1 and a in s
+
+
+def order_filters(lat: Lattice) -> list[frozenset]:
+    return [to_set(f) for f in _order_filter_masks(lat)]
+
+
+def is_meet_congruence(lat: Lattice, rel) -> bool:
+    """The substitution engine on the meet table, as rows: fast enough for
+    the thousands of congruences of a 16-element lattice, where
+    brute_is_meet_congruence is not."""
+    rows = _rows(lat, rel)
+    return _is_equivalence(rows) and _substitutes(meet_bits(lat), rows, rows)

@@ -160,7 +160,7 @@ def test_verify_corpus_sweep(capsys):
 
 
 def test_verify_corpus_cap(capsys):
-    code, _, err = run(capsys, "verify", "--corpus", "9")
+    code, _, err = run(capsys, "verify", "--corpus", "11")
     assert code == 2
     assert "error:" in err
 

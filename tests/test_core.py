@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkit.core import (Lattice, canonical_key, check_lattice_axioms,
-                         find_n5_sublattice, find_n5_through_bounds,
+                         find_n5_through_bounds,
                          format_element_set, is_antichain, is_complemented,
                          is_convex, is_distributive, is_isomorphic, is_modular,
                          parse_lattice_text)
@@ -15,7 +15,7 @@ from latkit.errors import (CycleDetected, InvalidParameter, NoBounds,
                            NotALattice, ParseError, SizeCapExceeded,
                            TrivialLattice)
 
-from .oracles import relabel
+from .oracles import find_n5_sublattice, relabel
 
 N5_TEXT = """\
 lattice N5

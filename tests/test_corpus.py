@@ -99,7 +99,7 @@ def test_enumeration_counts():
 
 def test_enumeration_limits():
     with pytest.raises(SizeCapExceeded):
-        enumerate_lattices(8)
+        enumerate_lattices(11)
     with pytest.raises(InvalidParameter):
         enumerate_lattices(0)
     with pytest.raises(InvalidParameter):

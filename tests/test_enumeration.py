@@ -1,8 +1,8 @@
 """Meet/join tables from the linear extension, the enumerator's canonical
-keys and its output against an unpruned walk, canonical forms against the
-ordered-matrix oracle, canonical keys under relabelling, id checks of the
-deduction predicates, and the class count in the substitution-equivalence
-witness."""
+keys, its lattices against the validating constructor, and its output
+against an unpruned walk, canonical forms against the ordered-matrix
+oracle, canonical keys under relabelling, id checks of the deduction
+predicates, and the class count in the substitution-equivalence witness."""
 
 import hashlib
 import random
@@ -12,7 +12,8 @@ import pytest
 from latkit import core, corpus
 from latkit.complementation import complement_sets
 from latkit.connectives import implies_table
-from latkit.core import Lattice, _wl_colors, canonical_form, canonical_key, is_complemented
+from latkit.core import (Lattice, _wl_colors, canonical_form, canonical_key,
+                         is_complemented, parse_lattice_text)
 from latkit.corpus import (direct_product, enumerate_lattices, make_boolean, make_chain,
                            make_fig2, make_Mn, make_N5)
 from latkit.deduction import (check_substitution_equivalences, is_deductive_system,
@@ -95,12 +96,19 @@ def test_non_lattice_pairs_pinned():
     assert str(err.value) == "elements 'd', 'c' have no meet"
 
 
-def test_enumerator_key_equals_fresh_key():
-    for n in range(2, 9):
-        for lat in enumerate_lattices(n, cap=8):
-            stored = lat.memo("canonical_key", lambda: pytest.fail("key not stored"))
-            fresh = Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements])
-            assert stored == canonical_key(fresh)
+def test_enumerator_key_equals_fresh_key(nine):
+    """Each of the 1,377 lattices on 2 to 9 elements, built by the walk
+    from its proved masks, stores its canonical form as its key and
+    equals in every slot the lattice that the validating constructor
+    builds from its labels and up-sets."""
+    lats = [lat for n in range(2, 9) for lat in enumerate_lattices(n, cap=8)] + nine
+    for lat in lats:
+        stored = lat.memo("canonical_key", lambda: pytest.fail("key not stored"))
+        fresh = Lattice(lat.labels, [lat.up_mask(i) for i in lat.elements])
+        for slot in ("n", "labels", "name", "bottom", "top", "_up", "_down", "_meet", "_join"):
+            assert getattr(lat, slot) == getattr(fresh, slot), (lat.labels, lat._up, slot)
+        assert stored == canonical_key(fresh) == canonical_form(lat._up, lat._down)
+    assert len(lats) == 1377
 
 
 def test_enumerate_eight_elements():
@@ -114,6 +122,26 @@ def test_enumerate_eight_elements():
 @pytest.fixture(scope="module")
 def nine():
     return enumerate_lattices(9, cap=9)
+
+
+def test_enumeration_skips_validation_and_the_boundary_keeps_it(monkeypatch):
+    """The walk builds no lattice through __init__; user input still goes
+    through it and is refused when it is not a lattice."""
+    calls = []
+    real = Lattice.__init__
+    monkeypatch.setattr(Lattice, "__init__",
+                        lambda self, *args, **kw: calls.append(args) or real(self, *args, **kw))
+    assert len(enumerate_lattices(8, cap=8)) == 222
+    assert calls == []
+    covers = [("0", "a"), ("0", "b"), ("a", "c"), ("a", "d"),
+              ("b", "c"), ("b", "d"), ("c", "1"), ("d", "1")]
+    with pytest.raises(NotALattice):
+        Lattice.from_covers(["0", "a", "b", "c", "d", "1"], covers)
+    text = ("lattice bad\nelements: 0 a b c d 1\ncovers: "
+            + " ".join(f"{lo}<{hi}" for lo, hi in covers) + "\n")
+    with pytest.raises(NotALattice):
+        parse_lattice_text(text)
+    assert len(calls) == 2
 
 
 def rows_digest(lats) -> str:

@@ -2,8 +2,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from latkit.corpus import make_boolean, make_fig2, make_M3, make_N5
-from latkit.setops import (is_singleton_of, set_join, set_le, set_le1,
-                           set_le2, set_meet, singleton)
+from latkit.setops import set_join, set_le, set_le1, set_le2, set_meet, singleton
+
+from .oracles import is_singleton_of
 
 POOL = [make_N5(), make_M3(), make_boolean(3), make_fig2()]
 

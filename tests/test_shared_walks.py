@@ -14,10 +14,10 @@ from latkit.core import _wl_colors, load_lattice_file
 from latkit.corpus import (direct_product, enumerate_lattices, make_boolean,
                            make_chain, make_fig2, make_M3, make_Mn,
                            named_lattice)
-from latkit.deduction import (all_deductive_systems, all_meet_congruences,
-                              is_meet_congruence)
+from latkit.deduction import all_deductive_systems, all_meet_congruences
 
-from .oracles import brute_inclusion_covers, brute_meet_congruences, wl_partition
+from .oracles import (brute_inclusion_covers, brute_meet_congruences,
+                      is_meet_congruence, wl_partition)
 
 
 def classes(color) -> set[frozenset]:

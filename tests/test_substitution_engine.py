@@ -20,13 +20,13 @@ from latkit.deduction import (PARTITION_CAP, _is_deductive, _kernel,
                               _meet_congruence_rows, _pairs, _theta,
                               check_meet_congruence_kernels,
                               find_meet_congruence_with_kernel, has_sp_implies,
-                              has_sp_plus, is_meet_congruence)
+                              has_sp_plus)
 from latkit.report import PropertyReport, law
 from latkit.suite import lattice_suite
 
 from .oracles import (brute_has_sp_implies, brute_has_sp_plus,
                       brute_is_equivalence, brute_is_meet_congruence,
-                      recursive_partitions, relation_of_blocks)
+                      is_meet_congruence, recursive_partitions, relation_of_blocks)
 from .strategies import SMALL, fresh, lattices_with_tables
 from .test_witnesses import suite_variants
 
