@@ -19,8 +19,8 @@ from .core import (ELEMENT_CAP, Lattice, _positions_above_below, _upper_covers,
                    load_lattice_file, members)
 from .corpus import (ENUM_CAP, complemented_sweep, default_corpus, entry_for,
                      named_lattice)
-from .deduction import (PARTITION_CAP, SUBSET_CAP, all_deductive_systems,
-                        ds_lattice_is_boolean_2n, is_compatible_ds)
+from .deduction import (PARTITION_CAP, SUBSET_CAP, _is_compatible, all_deductive_systems,
+                        ds_lattice_is_boolean_2n)
 from .errors import InvalidParameter, LatticeError
 from .render import render_op_table, render_plus_table, to_dot
 from .report import SKIPPED, PropertyReport
@@ -264,7 +264,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_deductive_systems(args: argparse.Namespace) -> int:
     lat = load_source(args)
     dsl = all_deductive_systems(lat)
-    compat = [is_compatible_ds(lat, d) for d in dsl.systems]
+    compat = [_is_compatible(lat, d) for d in dsl.masks]
     boolean = ds_lattice_is_boolean_2n(lat) if is_mn_shaped(lat) else None
 
     if args.fmt == "json":

@@ -6,7 +6,10 @@ tables, so every query after construction is a table lookup. Construction
 validates the poset axioms, locates the bounds and computes the tables
 in O(n^2) from a linear extension of the order; violations raise the
 matching subclass of LatticeError. The lattice enumerator alone skips
-the validation, for orders its walk has already proved lattices.
+the validation: its walk accepts an element's down-set only when the
+element has a meet with every earlier one, so each order it completes
+is a lattice whose ids form a linear extension, and Lattice._natural
+fills the tables from its masks.
 """
 
 from __future__ import annotations
@@ -197,16 +200,20 @@ class Lattice:
                         pair=(a, b))
                 join[a][b] = join[b][a] = g
 
-        self.n = n
+        self._fill(labels, name, bottom, top, up, down, meet, join, {})
+
+    def _fill(self, labels, name, bottom, top, up, down, meet, join, memo):
+        """Assign every slot; meet and join are lists of rows."""
+        self.n = len(labels)
         self.labels = labels
         self.name = name
         self.bottom = bottom
         self.top = top
         self._up = up
         self._down = down
-        self._meet = tuple(tuple(r) for r in meet)
-        self._join = tuple(tuple(r) for r in join)
-        self._memo = {}
+        self._meet = tuple(map(tuple, meet))
+        self._join = tuple(map(tuple, join))
+        self._memo = memo
 
     # -- construction ------------------------------------------------
 
@@ -277,16 +284,7 @@ class Lattice:
                 common = ua & up[b]
                 join[a][b] = join[b][a] = (common & -common).bit_length() - 1
         lat = cls.__new__(cls)
-        lat.n = n
-        lat.labels = labels
-        lat.name = ""
-        lat.bottom = 0
-        lat.top = n - 1
-        lat._up = up
-        lat._down = down
-        lat._meet = tuple(map(tuple, meet))
-        lat._join = tuple(map(tuple, join))
-        lat._memo = {"canonical_key": key}
+        lat._fill(labels, "", 0, n - 1, up, down, meet, join, {"canonical_key": key})
         return lat
 
     # -- queries -----------------------------------------------------

@@ -4,25 +4,26 @@ The enumerator produces every bounded lattice on n elements up to
 isomorphism. It walks naturally labeled posets (element ids respect the
 order) by choosing each element's strict down-set, pruning branches
 where some pair has no meet; a finite poset with a top in which all
-binary meets exist is a lattice. It also prunes a labelling whose newest
-element could move to an earlier position that the walk fills first,
-since every completion then has an isomorph the walk reaches earlier
-(the pruning half of McKay's orderly generation).
+binary meets exist is a lattice.
 
-A second rule prunes twin-swapped labellings. Call placed elements
-i < i' twins from below when they have the same strict down-set and no
-element placed between them is above i. Swapping them gives another
-natural labelling of every completion: both have the same elements
-below, the elements above either have ids past i', and the elements
-between are above neither. The two labellings hold the same down-sets
-up to the first later element k whose down-set holds exactly one of i
-and i', and there they differ in the bits i and i' alone. The walk
-lists the down-sets of k holding the lower of two differing bits
-first, so if k holds i' but not i, the walk reaches the swapped
-labelling before this one, and this one is pruned; if k holds i but
-not i', this labelling is the earlier, and the pair is dropped. The
-walk keeps, for each prefix, the twin pairs that no later element has
-yet told apart.
+It also prunes a labelling when the walk reaches an isomorph of every
+completion first, by one rule of McKay's orderly generation
+("Isomorph-free exhaustive generation", J. Algorithms 1998). If no bit
+of the new element k's down-set m lies in j..k-1, k is incomparable to
+j..k-1 and could take position j. The walk lists the down-sets holding the lower
+of two differing bits first, so comparing m with downs[j] has three
+outcomes. If m holds the lowest differing bit, k at position j is a
+natural labelling the walk reaches first, and this one is pruned. If
+they are equal and nothing placed between is above j, j and k are twins
+from below: swapping them gives another natural labelling of every
+completion, as both have the same elements below, the elements above
+have ids past k, and the elements between are above neither. The two
+labellings agree up to the first later element whose down-set holds
+exactly one twin, and differ there in the twins' bits alone; if it
+holds the higher twin, the swapped labelling comes first and this one
+is pruned, and if the lower, the pair is dropped. Otherwise the
+comparison prunes nothing. The walk keeps, for each prefix, the twin
+pairs that no later element has yet told apart.
 
 Each complete candidate's canonical form is computed straight from its
 down- and up-set masks, so a duplicate isomorph is rejected before any
@@ -31,8 +32,8 @@ walk order becomes a Lattice, with that form stored as its canonical
 key. The walk has proved that candidate a lattice whose ids form a
 linear extension, so it is built from those masks by
 Lattice._natural, which fills the meet and join tables without
-validating the order again. Both rules remove only candidates that are
-never first, so the output is the same as without them.
+validating the order again. The rule removes only candidates that are
+never first, so the output is the same as without it.
 """
 
 from __future__ import annotations
@@ -186,14 +187,6 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
     out: list[Lattice] = []
     seen: set = set()
 
-    def meet_exists(j: int, k: int) -> bool:
-        # Common strict lower bounds of j and the new element k must have
-        # a greatest member; j itself not below k here. Ids respect the
-        # order, so only the highest common id can be that member.
-        common = (downs[j] | (1 << j)) & downs[k]
-        t = common.bit_length() - 1
-        return t >= 0 and not common & ~(downs[t] | 1 << t)
-
     def place(k: int, twins: list):
         if k == n:
             down = [m | 1 << i for i, m in enumerate(downs)]
@@ -209,33 +202,15 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
         # Everything sits above the bottom, and the top above all else.
         choices = [full ^ (1 << k)] if k == n - 1 else _closed_masks(range(1, k), downs, 1)
         for m in choices:
-            downs[k] = m
-            if all(m >> j & 1 or meet_exists(j, k) for j in range(k)) \
-                    and not reached_earlier(k, m):
-                untold = twins_after(twins, k, m)
-                if untold is not None:
-                    place(k + 1, untold)
-        downs[k] = 0
+            untold = accept(k, m, twins)
+            if untold is not None:
+                downs[k] = m
+                place(k + 1, untold)
 
-    def reached_earlier(k: int, m: int) -> bool:
-        # With no bit of m in j..k-1, k is incomparable to all of j..k-1, so
-        # moving it to position j gives another natural labelling of every
-        # completion. _closed_masks yields m before downs[j] when m holds the
-        # lowest differing bit, so the walk meets that isomorph first. Positions
-        # j >= m.bit_length() are exactly those with no bit of m in j..k-1.
-        for j in range(m.bit_length(), k):
-            d = m ^ downs[j]
-            if m & d & -d:
-                return True
-        return False
-
-    def twins_after(twins: list, k: int, m: int):
-        # Each pair of twins from below (module docstring) that no element
-        # has told apart is (both bits, the lower bit). None when k holds
-        # the higher twin alone, as the swapped labelling comes first. Else
-        # the pairs k leaves untold, plus each (j, k) of new twins. A
-        # position below m.bit_length() cannot have down-set m, so the top
-        # opens no pair.
+    def accept(k: int, m: int, twins: list):
+        # None when the down-set m of the new element k is pruned (module
+        # docstring); else the twin pairs, each (both bits, the lower bit),
+        # that k leaves untold, plus each new pair (j, k).
         untold = []
         for pair, low in twins:
             held = m & pair
@@ -243,11 +218,26 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
                 return None
             if held != low:
                 untold.append((pair, low))
+        free = m.bit_length()
         above = 0
-        for j in range(k - 1, m.bit_length() - 1, -1):
-            if downs[j] == m and not above >> j & 1:
-                untold.append((1 << j | 1 << k, 1 << j))
-            above |= downs[j]
+        for j in range(k - 1, 0, -1):
+            dj = downs[j]
+            if not m >> j & 1:
+                # The common lower bounds of j and k, the bottom among them,
+                # need a greatest member; ids respect the order, so only the
+                # highest can be it.
+                common = dj & m
+                t = common.bit_length() - 1
+                if common & ~(downs[t] | 1 << t):
+                    return None
+            if j >= free:
+                # k is incomparable to j..k-1, so it could take position j.
+                d = m ^ dj
+                if m & d & -d:
+                    return None
+                if not d and not above >> j & 1:
+                    untold.append((1 << j | 1 << k, 1 << j))
+            above |= dj
         return untold
 
     place(1, [])

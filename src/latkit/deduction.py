@@ -23,16 +23,18 @@ values of each row of the implication table, not on its n columns. The
 hypothesis step of the verdict reads no rows: on a deductive D it fails
 exactly when the empty set and a set outside D are values of the table.
 
-One substitution engine serves three tables. For a table of cells,
-table[a][c] a subset mask, a relation has the substitution property of
-the table when (a, b) related puts each x in table[a][c] in relation
-with each y in table[b][c], for every column c. The meet congruences
-are the equivalences with the property of setops.meet_bits, whose cell
-(a, c) is {a ^ c}; the complement substitution property (SP+) is that
-of the one-column table of complement sets a+; the implication
-substitution property (SP->) is that of a -> c. _substitutes decides
-the property row by row with two vector operations, and _close closes
-a partition under it; no other code does either.
+One substitution engine serves the complement and implication tables.
+For a table of cells, table[a][c] a subset mask, a relation has the
+substitution property of the table when (a, b) related puts each x in
+table[a][c] in relation with each y in table[b][c], for every column c.
+The complement substitution property (SP+) is that of the one-column
+table of complement sets a+; the implication substitution property
+(SP->) is that of a -> c. _substitutes decides the property row by row
+with two vector operations, and _close closes a partition under SP->;
+no other code does either. The meet congruences have the property of
+setops.meet_bits, whose cell (a, c) is {a ^ c}, but they are built as
+intersections of the n ~f (below), and only the tests' oracle
+is_meet_congruence runs _substitutes on that table.
 
 _close computes the least equivalence with the property above a
 partition P, C(P). On a partition the property says
@@ -410,19 +412,19 @@ def is_compatible_ds(lat: Lattice, d) -> bool:
     Theta(d) a substitution-friendly equivalence with kernel d. d may be
     any iterable of element ids; raises InvalidParameter for an id
     outside 0..n-1."""
-    return _is_compatible(lat, to_mask(lat, d))
+    m = to_mask(lat, d)
+    return _is_deductive(lat, m) and _is_compatible(lat, m)
 
 
 def _is_compatible(lat: Lattice, d: int) -> bool:
-    """is_compatible_ds on a mask. Hypothesis step: for a value X within
-    d, no value outside d lies within W(X), the t with x->t within d for
-    all x in X. As d is deductive, W(X) lies within d unless X is empty
-    (within-d rows of members of d do), and W of the empty X is the carrier:
-    the step fails when the union of the values, taken only if one is
-    empty, leaves d. That union is memoised."""
-    if not _is_deductive(lat, d):
-        return False
-
+    """is_compatible_ds on the mask of a deductive system, such as a
+    member of all_deductive_systems; deductivity is not decided again.
+    Hypothesis step: for a value X within d, no value outside d lies
+    within W(X), the t with x->t within d for all x in X. As d is
+    deductive, W(X) lies within d unless X is empty (within-d rows of
+    members of d do), and W of the empty X is the carrier: the step fails
+    when the union of the values, taken only if one is empty, leaves d.
+    That union is memoised."""
     def hypothesis_mask():
         values = [v for row in implies_index(lat) for v, _ in row]
         return functools.reduce(operator.or_, values) if 0 in values else 0

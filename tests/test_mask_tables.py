@@ -60,14 +60,6 @@ def test_tables_read_a_placed_complement_table():
             assert_tables_match_the_set_definition(work)
 
 
-def test_verify_builds_no_frozenset_table():
-    for e in default_corpus():
-        lat = fresh(e.lattice)
-        lattice_suite(lat)
-        views = {"complement_sets", "implies_table", "odot_table"} & set(lat._memo)
-        assert not views, (e.name, views)
-
-
 # Every memo entry lattice_suite leaves on a default-corpus lattice. Each
 # is read again within the suite; a new entry must show that it is.
 SUITE_MEMO_KEYS = {
