@@ -14,9 +14,8 @@ import sys
 
 from .complementation import complement_masks, dblplus_masks, satisfies_dblplus_identity
 from .connectives import is_mn_shaped, op_table
-from .core import (ELEMENT_CAP, Lattice, _positions_above_below, _upper_covers,
-                   is_complemented, is_distributive, is_modular,
-                   load_lattice_file, members)
+from .core import (ELEMENT_CAP, Lattice, _positions_holding, is_complemented,
+                   is_distributive, is_modular, load_lattice_file, members)
 from .corpus import (ENUM_CAP, complemented_sweep, default_corpus, entry_for,
                      named_lattice)
 from .deduction import (PARTITION_CAP, SUBSET_CAP, _is_compatible, all_deductive_systems,
@@ -261,6 +260,31 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
+def _inclusion_covers(masks):
+    """Yield, in order, the position pairs (i, j) of the deductive systems
+    where system j covers system i. The family is intersection closed and
+    in (size, ids) order (check_deductive_family proves both), so the
+    least member holding a set S is the first position holding it, L(S):
+    the lowest set bit of the AND of the position bitsets of S's
+    elements. Each upper cover of D is L(D | {x}) for an x outside D, and
+    such an L is a cover exactly when L(D | {y}) = L for every y that it
+    adds to D. No k x k table is built."""
+    carrier = masks[-1]
+    holds = _positions_holding(masks)
+    for i, d in enumerate(masks):
+        containing = -1
+        for x in members(d):
+            containing &= holds[x]
+        reach: dict[int, int] = {}
+        for x in members(carrier & ~d):
+            both = containing & holds[x]
+            j = (both & -both).bit_length() - 1
+            reach[j] = reach.get(j, 0) | 1 << x
+        for j in sorted(reach):
+            if reach[j] == masks[j] & ~d:
+                yield i, j
+
+
 def cmd_deductive_systems(args: argparse.Namespace) -> int:
     lat = load_source(args)
     dsl = all_deductive_systems(lat)
@@ -282,9 +306,7 @@ def cmd_deductive_systems(args: argparse.Namespace) -> int:
         mark = "  (compatible)" if c else ""
         lines.append(f"  S{i} = {_braced(lat, d)}{mark}")
     if args.lattice_of:
-        above, _ = _positions_above_below(dsl.masks)
-        edges = [f"S{i} < S{j}" for i, m in enumerate(_upper_covers(above))
-                 for j in members(m)]
+        edges = [f"S{i} < S{j}" for i, j in _inclusion_covers(dsl.masks)]
         lines.append("inclusion covers: " + ("; ".join(edges) if edges else "none"))
     if boolean is not None:
         atoms = lat.n - 2

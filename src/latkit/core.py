@@ -91,16 +91,24 @@ def _closed_masks(ids, needs, start: int = 0) -> list[int]:
     return masks
 
 
+def _positions_holding(masks) -> list[int]:
+    """For each element x below the highest member bit, the bitset over
+    family positions of the members holding x. The bits are set in byte
+    arrays, so no int is rebuilt per member."""
+    rows = [bytearray((len(masks) + 7) // 8) for _ in range(max(masks, default=0).bit_length())]
+    for p, m in enumerate(masks):
+        for x in members(m):
+            rows[x][p >> 3] |= 1 << (p & 7)
+    return [int.from_bytes(row, "little") for row in rows]
+
+
 def _positions_above_below(masks):
     """For each family member p, the bitsets over family positions of the
     members containing it and of the members it contains, built from the
     bitset of positions holding each element: O(k n) for k members over
     n elements, n being the highest member bit plus one."""
-    n = max(masks, default=0).bit_length()
-    holds = [0] * n
-    for p, m in enumerate(masks):
-        for x in members(m):
-            holds[x] |= 1 << p
+    holds = _positions_holding(masks)
+    n = len(holds)
     every = (1 << len(masks)) - 1
     above, below = [], []
     for m in masks:
@@ -584,52 +592,14 @@ def check_lattice_axioms(lat: Lattice) -> PropertyReport:
 
 # -- isomorphism -----------------------------------------------------
 
-def _wl_colors(up, down) -> list[int]:
-    """Order-invariant element colouring of the order given by up- and
-    down-set masks: down- and up-set sizes, refined by the colour
-    multisets of lower and upper covers until stable, which gives the
-    coarsest equitable partition finer than the start (McKay and Piperno,
-    "Practical graph isomorphism, II", 2014). Both cover counts are
-    constant on each stable class, and so are height and depth, by
-    induction on height (dually depth): an element's height follows from
-    its lower covers' colours. Starting from them too would give the same
-    classes.
-
-    A colouring is returned as soon as it is discrete, one element per
-    colour; a discrete start returns before any covers are computed.
-    Every refinement key leads with the old colour, so a further round
-    could split no class and would give back the same numbers."""
-    n = len(up)
-    keys = [(down[i].bit_count(), up[i].bit_count()) for i in range(n)]
-    ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
-    color = [ranks[k] for k in keys]
-    if len(ranks) == n:
-        return color
-
-    cov_up = [members(m) for m in _upper_covers(up)]
-    cov_dn = [[] for _ in range(n)]
-    for i in range(n):
-        for j in cov_up[i]:
-            cov_dn[j].append(i)
-    while True:
-        keys = [(color[i],
-                 tuple(sorted(color[j] for j in cov_dn[i])),
-                 tuple(sorted(color[j] for j in cov_up[i])))
-                for i in range(n)]
-        ranks = {k: r for r, k in enumerate(sorted(set(keys)))}
-        new = [ranks[k] for k in keys]
-        if new == color or len(ranks) == n:
-            return new
-        color = new
-
-
 def canonical_form(up, down):
     """Canonical form of the order given by up- and down-set masks (each
     element in its own up- and down-set): the minimal order-matrix bit
-    string over all permutations compatible with the colour classes of
-    _wl_colors, positions filled class by class in colour order. Equal
-    forms mean isomorphic orders; the form's values are not stable across
-    changes to the colouring and are never printed.
+    string over all permutations that fill positions colour by colour in
+    ascending order, an element's colour being its (down-set size, up-set
+    size). Any order-invariant colouring gives an exact form this way.
+    Equal forms mean isomorphic orders; the form's values are not stable
+    across changes to the colouring and are never printed.
 
     The search places one element per position. Two elements are twins
     when they are incomparable and have equal up- and down-sets once both
@@ -643,7 +613,8 @@ def canonical_form(up, down):
     branch on every member. A discrete colouring admits exactly one
     permutation, so it is read off with no twin table and no search."""
     n = len(up)
-    color = _wl_colors(up, down)
+    # (down-set size, up-set size) as one int; each size is at most n.
+    color = [down[i].bit_count() * (n + 1) + up[i].bit_count() for i in range(n)]
     posrank = sorted(color)
     byrank: dict[int, list[int]] = {}
     for i, c in enumerate(color):

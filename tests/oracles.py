@@ -468,39 +468,7 @@ def brute_is_compatible_ds(lat: Lattice, it, d: frozenset) -> bool:
                for c in range(n) for x in it[a][c] for t in it[b][c])
 
 
-# -- colour refinement, inclusion covers and the partition walk ----------
-
-def wl_partition(up, down) -> list[int]:
-    """Element colours of the order given by up- and down-set masks, from
-    the start key (down-set size, up-set size, lower and upper cover
-    counts, height, depth) refined by the sorted colours of lower and
-    upper covers until no class splits."""
-    n = len(up)
-    lt = [[i != j and bool(up[i] >> j & 1) for j in range(n)] for i in range(n)]
-    cov_up = [[j for j in range(n) if lt[i][j]
-               and not any(lt[i][k] and lt[k][j] for k in range(n))] for i in range(n)]
-    cov_dn = [[i for i in range(n) if j in cov_up[i]] for j in range(n)]
-    height, depth = {}, {}
-
-    def h(i):
-        if i not in height:
-            height[i] = max((h(j) + 1 for j in cov_dn[i]), default=0)
-        return height[i]
-
-    def d(i):
-        if i not in depth:
-            depth[i] = max((d(j) + 1 for j in cov_up[i]), default=0)
-        return depth[i]
-
-    keys = [(down[i].bit_count(), up[i].bit_count(), len(cov_dn[i]), len(cov_up[i]),
-             h(i), d(i)) for i in range(n)]
-    while True:
-        color = [sorted(set(keys)).index(k) for k in keys]
-        keys = [(color[i], tuple(sorted(color[j] for j in cov_dn[i])),
-                 tuple(sorted(color[j] for j in cov_up[i]))) for i in range(n)]
-        if len(set(keys)) == len(set(color)):
-            return color
-
+# -- inclusion covers and the partition walk ----------------------------
 
 def brute_inclusion_covers(systems) -> list[tuple[int, int]]:
     """(i, j) position pairs of a family of frozensets where system i is a

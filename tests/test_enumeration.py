@@ -12,7 +12,7 @@ import pytest
 from latkit import core, corpus
 from latkit.complementation import complement_sets
 from latkit.connectives import implies_table
-from latkit.core import (Lattice, _wl_colors, canonical_form, canonical_key,
+from latkit.core import (Lattice, canonical_form, canonical_key,
                          is_complemented, parse_lattice_text)
 from latkit.corpus import (direct_product, enumerate_lattices, make_boolean, make_chain,
                            make_fig2, make_Mn, make_N5)
@@ -197,22 +197,23 @@ def test_pruned_labellings_never_reach_canonical_form(monkeypatch):
 
 def test_discrete_start_colourings_skip_the_cover_scan(monkeypatch):
     """Of the 348 candidates that reach canonical_form on 2 to 8 elements,
-    93 are told apart by their down- and up-set sizes alone; only the
-    other 255 compute upper covers."""
+    93 are told apart by their down- and up-set sizes alone and the other
+    255 are searched. The colouring reads those sizes only, so none of
+    them computes upper covers."""
     calls = []
     real = core._upper_covers
     monkeypatch.setattr(core, "_upper_covers", lambda up: calls.append(len(up)) or real(up))
     assert sum(len(enumerate_lattices(n, cap=8)) for n in range(2, 9)) == 299
-    assert len(calls) <= 255
+    assert calls == []
 
 
 def test_canonical_form_against_ordered_matrix_key_in_each_regime():
     """On the 370 unpruned lattice labellings on 2 to 7 elements, forms are
-    equal exactly when the oracle keys are. The sample holds all three
-    regimes: a discrete start colouring (146), one made discrete by
-    refinement (18), and a searched one (206)."""
+    equal exactly when the oracle keys are. The sample holds both regimes:
+    a discrete colouring read off with no search (146), and a searched
+    one (224)."""
     form_to_key, key_to_form = {}, {}
-    regimes = [0, 0, 0]
+    regimes = [0, 0]
     for n in range(2, 8):
         for up in natural_lattice_labellings(n):
             down = [sum(1 << i for i in range(n) if up[i] >> j & 1) for j in range(n)]
@@ -220,9 +221,20 @@ def test_canonical_form_against_ordered_matrix_key_in_each_regime():
             assert form_to_key.setdefault(form, key) == key
             assert key_to_form.setdefault(key, form) == form
             start = {(down[i].bit_count(), up[i].bit_count()) for i in range(n)}
-            refined = set(_wl_colors(up, down))
-            regimes[0 if len(start) == n else 1 if len(refined) == n else 2] += 1
-    assert sum(regimes) == 370 and all(regimes), regimes
+            regimes[len(start) < n] += 1
+    assert regimes == [146, 224]
+
+
+def test_enumerated_keys_invariant_under_one_relabelling(nine):
+    """Each of the 1,377 lattices on 2 to 9 elements, moved by one seeded
+    shuffle and rebuilt by the validating constructor, has the canonical
+    key that the enumerator stored for it."""
+    rng = random.Random(5)
+    lats = [lat for n in range(2, 9) for lat in enumerate_lattices(n, cap=8)] + nine
+    for lat in lats:
+        stored = lat.memo("canonical_key", lambda: pytest.fail("key not stored"))
+        assert canonical_key(shuffled(lat, rng)) == stored, (lat.labels, lat._up)
+    assert len(lats) == 1377
 
 
 def test_canonical_key_invariant_under_relabelling():

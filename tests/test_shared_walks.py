@@ -1,38 +1,19 @@
 """The one routine kept for each job, against independent references in
-tests/oracles.py: colour classes against the start that also carries
-cover counts, height and depth; the `inclusion covers:` line and the
-deductive-system join table against a frozenset scan; and the meet
-congruences against a scan of every partition up to seven elements, and
-against pinned digests on four larger lattices."""
+tests/oracles.py: the `inclusion covers:` line and the deductive-system
+join table against a frozenset scan, and the meet congruences against a
+scan of every partition up to seven elements and against pinned digests
+on four larger lattices."""
 
 import hashlib
 
 import pytest
 
 from latkit.cli import main
-from latkit.core import _wl_colors, load_lattice_file
-from latkit.corpus import (direct_product, enumerate_lattices, make_boolean,
-                           make_chain, make_fig2, make_M3, make_Mn,
-                           named_lattice)
+from latkit.core import load_lattice_file
+from latkit.corpus import enumerate_lattices, make_Mn, named_lattice
 from latkit.deduction import all_deductive_systems, all_meet_congruences
 
-from .oracles import (brute_inclusion_covers, brute_meet_congruences,
-                      is_meet_congruence, wl_partition)
-
-
-def classes(color) -> set[frozenset]:
-    return {frozenset(i for i, c in enumerate(color) if c == k) for k in set(color)}
-
-
-def test_colour_classes_match_the_richer_start():
-    lats = [lat for n in range(2, 10) for lat in enumerate_lattices(n, cap=9)]
-    lats += [make_boolean(4), make_boolean(5), make_fig2(), make_Mn(8), make_chain(16),
-             direct_product(make_M3(), make_chain(2))]
-    for lat in lats:
-        up = [lat.up_mask(i) for i in lat.elements]
-        down = [lat.down_mask(i) for i in lat.elements]
-        assert classes(_wl_colors(up, down)) == classes(wl_partition(up, down)), lat
-    assert len(lats) == 1377 + 6
+from .oracles import brute_inclusion_covers, brute_meet_congruences, is_meet_congruence
 
 
 def lattice_text(name: str, lat) -> str:
