@@ -594,24 +594,32 @@ def check_lattice_axioms(lat: Lattice) -> PropertyReport:
 
 def canonical_form(up, down):
     """Canonical form of the order given by up- and down-set masks (each
-    element in its own up- and down-set): the minimal order-matrix bit
-    string over all permutations that fill positions colour by colour in
-    ascending order, an element's colour being its (down-set size, up-set
-    size). Any order-invariant colouring gives an exact form this way.
-    Equal forms mean isomorphic orders; the form's values are not stable
+    element in its own up- and down-set): the least token sequence over
+    all permutations that fill positions colour by colour in ascending
+    order, an element's colour being its (down-set size, up-set size).
+    Any order-invariant colouring gives an exact form this way. Equal
+    forms mean isomorphic orders; the form's values are not stable
     across changes to the colouring and are never printed.
 
-    The search places one element per position. Two elements are twins
-    when they are incomparable and have equal up- and down-sets once both
-    are removed; swapping them is then an automorphism that fixes every
-    other element. The colouring is invariant, so twins share a colour,
-    and they are looked for only among pairs inside one class. A position
-    tries no element that has an unplaced twin of lower id: that twin's
-    branch yields the same strings. This keeps the form and makes the
-    search linear in a class of interchangeable elements (the atoms of
-    M:n) instead of factorial. Classes without twins, as in B:5, still
-    branch on every member. A discrete colouring admits exactly one
-    permutation, so it is read off with no twin table and no search."""
+    An element's strict down-set is smaller than its own, so by the time
+    e is placed every element below it is placed and none above it. Its
+    token is the set of positions of its strict down-set, one bit each;
+    the tokens of a permutation spell out the whole order on positions.
+    The search places one element per position, and at each it computes
+    the token of every unplaced member of the position's colour class and
+    descends only into those whose token is least. This is exact: the
+    form is the lexicographic minimum of the sequence, so a member with a
+    larger token at position p cannot lead to it. While a best sequence
+    is kept, every node's prefix ties it, so the least token is compared
+    with it at p alone: a larger one returns, a smaller one drops it.
+
+    Tied members have equal strict down-sets. Those that also have equal
+    strict up-sets are twins: swapping two of them is an automorphism
+    that fixes every other element, so the search branches on the lowest
+    id of each twin set only. The atoms of M:n are one branch instead of
+    n!, and a lattice without twins reaches about one leaf per
+    automorphism (120 on B:5). A discrete colouring admits exactly one
+    permutation, so it is read off with no search."""
     n = len(up)
     # (down-set size, up-set size) as one int; each size is at most n.
     color = [down[i].bit_count() * (n + 1) + up[i].bit_count() for i in range(n)]
@@ -619,56 +627,57 @@ def canonical_form(up, down):
     byrank: dict[int, list[int]] = {}
     for i, c in enumerate(color):
         byrank.setdefault(c, []).append(i)
-    cur: list[int] = []
-    placed: list[int] = []
-
-    def token(e: int) -> int:
-        # Order bits between e and each placed element, in placing order.
-        tok = 0
-        for q in placed:
-            tok = tok << 1 | (up[q] >> e & 1)
-            tok = tok << 1 | (up[e] >> q & 1)
-        return tok
+    bit = [0] * n  # bit[e]: 1 << (e's position), read once e is placed
+    cur = [0] * n
 
     if len(byrank) == n:
-        for r in posrank:
+        for p, r in enumerate(posrank):
             (e,) = byrank[r]
-            cur.append(token(e))
-            placed.append(e)
+            t = 0
+            for q in members(down[e] ^ 1 << e):
+                t |= bit[q]
+            cur[p] = t
+            bit[e] = 1 << p
         return (n, tuple(posrank), tuple(cur))
 
-    lower_twins = [0] * n
-    for cls in byrank.values():
-        for x, j in enumerate(cls):
-            for i in cls[:x]:
-                both = 1 << i | 1 << j
-                if not (up[i] >> j & 1 or up[j] >> i & 1) \
-                        and up[i] & ~both == up[j] & ~both \
-                        and down[i] & ~both == down[j] & ~both:
-                    lower_twins[j] |= 1 << i
-
     best: list[int] | None = None
-    free = (1 << n) - 1
 
-    def dfs(p: int):
-        nonlocal best, free
-        if p == n:
-            if best is None or cur < best:
-                best = list(cur)
-            return
-        for e in byrank[posrank[p]]:
-            if not free >> e & 1 or lower_twins[e] & free:
-                continue
-            cur.append(token(e))
-            if best is None or cur <= best[:p + 1]:
-                free ^= 1 << e
-                placed.append(e)
-                dfs(p + 1)
-                placed.pop()
-                free ^= 1 << e
-            cur.pop()
+    def dfs(p: int, free: int):
+        nonlocal best
+        while p < n:
+            least = None
+            for e in byrank[posrank[p]]:
+                if free >> e & 1:
+                    t = 0
+                    for q in members(down[e] ^ 1 << e):
+                        t |= bit[q]
+                    if least is None or t < least:
+                        least, ties = t, [e]
+                    elif t == least:
+                        ties.append(e)
+            if best is not None:
+                if least > best[p]:
+                    return
+                if least < best[p]:
+                    best = None
+            cur[p] = least
+            if len(ties) > 1:
+                # The lowest id per strict up-set: one member of each twin set.
+                first: dict[int, int] = {}
+                for e in ties:
+                    first.setdefault(up[e] ^ 1 << e, e)
+                if len(first) > 1:
+                    for e in first.values():
+                        bit[e] = 1 << p
+                        dfs(p + 1, free ^ 1 << e)
+                    return
+            e = ties[0]
+            bit[e] = 1 << p
+            free ^= 1 << e
+            p += 1
+        best = cur[:]
 
-    dfs(0)
+    dfs(0, (1 << n) - 1)
     return (n, tuple(posrank), tuple(best))
 
 

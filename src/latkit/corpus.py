@@ -188,7 +188,12 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
     seen: set = set()
 
     def place(k: int, twins: list):
-        if k == n:
+        if k == n - 1:
+            # The top sits above all else, and accept would prune nothing
+            # here: its down-set holds every earlier element, so each meet
+            # with it exists, no earlier position is open to it, and it
+            # tells no twin pair apart.
+            downs[k] = full ^ 1 << k
             down = [m | 1 << i for i, m in enumerate(downs)]
             up = [1 << i for i in range(n)]
             for j in range(1, n):
@@ -199,9 +204,8 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
                 seen.add(key)
                 out.append(Lattice._natural(labels, tuple(up), tuple(down), key))
             return
-        # Everything sits above the bottom, and the top above all else.
-        choices = [full ^ (1 << k)] if k == n - 1 else _closed_masks(range(1, k), downs, 1)
-        for m in choices:
+        # Everything sits above the bottom.
+        for m in _closed_masks(range(1, k), downs, 1):
             untold = accept(k, m, twins)
             if untold is not None:
                 downs[k] = m

@@ -13,9 +13,9 @@ from latkit import core, corpus
 from latkit.complementation import complement_sets
 from latkit.connectives import implies_table
 from latkit.core import (Lattice, canonical_form, canonical_key,
-                         is_complemented, parse_lattice_text)
+                         is_complemented, is_isomorphic, parse_lattice_text)
 from latkit.corpus import (direct_product, enumerate_lattices, make_boolean, make_chain,
-                           make_fig2, make_Mn, make_N5)
+                           make_fig2, make_M3, make_Mn, make_N5)
 from latkit.deduction import (check_substitution_equivalences, is_deductive_system,
                               is_filter, is_order_filter)
 from latkit.errors import InvalidParameter, NotALattice
@@ -249,6 +249,23 @@ def test_canonical_key_invariant_under_relabelling():
         for _ in range(4):
             assert canonical_key(shuffled(lat, rng)) == key, lat
     assert len({canonical_key(lat) for lat in lats}) == len(lats)
+
+
+def test_twin_free_symmetric_lattices_keyed_under_relabelling():
+    """B:5 and M3 x M3 have no twins and colour classes of up to 10 and 9
+    members, so a search that branched on every member would not finish;
+    branching on the least tokens only reaches about one leaf per
+    automorphism. Each key survives three seeded relabellings, and B:5 is
+    not isomorphic to chain:4 x chain:8, another 32-element lattice."""
+    rng = random.Random(17)
+    b5 = make_boolean(5)
+    for lat in (b5, direct_product(make_M3(), make_M3())):
+        key = canonical_key(lat)
+        for _ in range(3):
+            assert canonical_key(shuffled(lat, rng)) == key, lat
+    grid = direct_product(make_chain(4), make_chain(8))
+    assert grid.n == b5.n == 32
+    assert not is_isomorphic(b5, grid)
 
 
 @pytest.mark.parametrize("bad", [-1, 5])
