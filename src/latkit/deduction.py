@@ -342,11 +342,10 @@ def all_meet_congruences(lat: Lattice, cap: int = PARTITION_CAP) -> list[Relatio
 
 def find_meet_congruence_with_kernel(lat: Lattice, d: frozenset) -> Relation | None:
     """The least meet congruence with kernel d, the first in _pair_key
-    order, or None: theta_f for f the meet of d when d is up f (module
-    docstring). Raises InvalidParameter for an id outside 0..n-1."""
-    want, meet = to_mask(lat, d), lat._meet
-    f = functools.reduce(lambda x, y: meet[x][y], members(want), lat.top)
-    return _pairs(_theta_f(lat, f)) if want == lat._up[f] else None
+    order, or None: theta_f when d is up f (module docstring). Raises
+    InvalidParameter for an id outside 0..n-1."""
+    want = to_mask(lat, d)
+    return _pairs(_theta_f(lat, lat._up.index(want))) if want in lat._up else None
 
 
 def _theta_f(lat: Lattice, f: int) -> Rows:

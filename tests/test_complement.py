@@ -191,7 +191,7 @@ def test_chain_has_no_complements():
 
 
 def test_plus_rejects_foreign_ids(n5):
-    for bad in ({99}, {0, 5}, {-1}):
+    for bad in ({99}, {0, 5}, {-1}, {1.5}):
         with pytest.raises(InvalidParameter):
             plus(n5, frozenset(bad))
 

@@ -66,6 +66,10 @@ def test_axioms_pass_everywhere(corpus):
 def test_from_covers_rejects_duplicates():
     with pytest.raises(InvalidParameter):
         Lattice.from_covers(["a", "a"], [("a", "a")])
+    # The constructor behind it takes int rows only, never a truncated float.
+    for bad in (3.5, "3", "x", None):
+        with pytest.raises(InvalidParameter):
+            Lattice(["a", "b"], [bad, 2])
 
 
 def test_from_covers_rejects_unknown_reference():
@@ -135,7 +139,7 @@ def test_format_element_set(n5, mn3):
     assert format_element_set(mn3, frozenset((one,))) == "{a1}"
 
 
-@pytest.mark.parametrize("bad", [{9}, {-1}, {0, 5}])
+@pytest.mark.parametrize("bad", [{9}, {-1}, {0, 5}, {1.5}])
 def test_format_element_set_rejects_foreign_ids(n5, bad):
     # -1 would index the top's label and 9 past the end of the labels.
     with pytest.raises(InvalidParameter):
