@@ -10,10 +10,10 @@ Python, so threads would only contend for the interpreter lock.
 
 from __future__ import annotations
 
-from .complementation import (_polarity_proves_ortholattice, check_complement_sets,
+from .complementation import (_is_polarity, check_complement_sets,
                               check_dblplus_characterization, check_descending_chains,
                               check_galois_laws, check_modular_antichains,
-                              check_order_reversal, closed_masks, closure_lattice)
+                              check_order_reversal, closed_count, closure_lattice)
 from .connectives import (check_adjointness, check_conjunction_laws,
                           check_diamond_residuation, check_implication_laws,
                           check_implication_meet_link, check_minimal_dblplus,
@@ -33,9 +33,12 @@ GALOIS_EXHAUSTIVE_LIMIT = 6
 
 
 def closure_report(lat: Lattice) -> PropertyReport:
-    violations = () if _polarity_proves_ortholattice(lat) else closure_lattice(lat).violations
+    """On a polarity the closed sets form a complete ortholattice
+    (complementation module docstring), so only closed_count runs;
+    otherwise closure_lattice scans for violations."""
+    violations = () if _is_polarity(lat) else closure_lattice(lat).violations
     results = tuple(CheckResult(v, False) for v in violations) or (CheckResult(
-        f"complete ortholattice on {len(closed_masks(lat))} closed sets", True),)
+        f"complete ortholattice on {closed_count(lat)} closed sets", True),)
     return PropertyReport("closure structure", results)
 
 
