@@ -170,11 +170,6 @@ def closed_masks(lat: Lattice) -> tuple[int, ...]:
         _intersection_closure(complement_masks(lat), (1 << lat.n) - 1), key=subset_key)))
 
 
-# A closed family the closed form puts at this size or below is listed
-# by closed_count, and memoised for closed_sets and closure_lattice.
-LISTED_CLOSED_CAP = 1 << 10
-
-
 def _is_polarity(lat: Lattice) -> bool:
     """The complement relation is symmetric and irreflexive."""
     cm = complement_masks(lat)
@@ -209,11 +204,9 @@ def _count_by_components(lat: Lattice) -> int:
 
 def closed_count(lat: Lattice) -> int:
     """len(closed_masks(lat)), which is listed only when the relation is
-    not a polarity or its family has at most LISTED_CLOSED_CAP members."""
+    not a polarity."""
     if _is_polarity(lat):
-        count = _count_by_components(lat)
-        if count > LISTED_CLOSED_CAP:
-            return count
+        return _count_by_components(lat)
     return len(closed_masks(lat))
 
 

@@ -2,17 +2,18 @@
 
 Elements are dense integer ids 0..n-1; labels are presentation only. The
 order is stored as one bitmask row per element and meet/join as full n x n
-tables, so every query after construction is a table lookup. Construction
-validates the poset axioms, then reads each meet off a map from
-down-sets to elements, exact for any labelling: the common lower bounds
-of a and b form the down-closed set down[a] & down[b], which has a
-greatest member, the meet, exactly when it is that member's down-set.
-Joins and bounds are read the same way from up- and down-sets, and
-violations raise the matching subclass of LatticeError. The lattice
-enumerator alone skips the validation: its walk accepts an element's
-down-set only when the element has a meet with every earlier one, so
-each order it completes is a lattice whose ids form a linear extension,
-and Lattice._natural fills the tables from its masks.
+tables, so every query after construction is a table lookup. One
+function, _bounds_and_tables, builds the bounds and both tables of every
+Lattice, reading each meet off a map from down-sets to elements, exact
+for any labelling: the common lower bounds of a and b form the
+down-closed set down[a] & down[b], which has a greatest member, the
+meet, exactly when it is that member's down-set. Joins and bounds are
+read the same way from up- and down-sets, and violations raise the
+matching subclass of LatticeError. Lattice.__init__ validates the poset
+axioms and then calls it. The lattice enumerator alone skips the
+validation, since its walk proves each order it completes a lattice, and
+Lattice._natural defers the call to the first read of a bound or a
+table: most enumerated lattices are only keyed.
 """
 
 from __future__ import annotations
@@ -126,13 +127,48 @@ def _positions_above_below(masks):
     return above, below
 
 
+def _bounds_and_tables(labels, up, down):
+    """(bottom, top, meet, join) of a partial order given by its up- and
+    down-set masks, meet and join as tuples of rows, read by lookup
+    (module docstring). Pairs run in (a, b) order with meet before join,
+    so the first failing pair is reported, by its labels."""
+    n = len(up)
+    full = (1 << n) - 1
+    by_down = {m: i for i, m in enumerate(down)}
+    by_up = {m: i for i, m in enumerate(up)}
+    bottom, top = by_up.get(full), by_down.get(full)
+    if bottom is None or top is None:
+        raise NoBounds("order has no unique minimum or maximum")
+    if bottom == top:
+        raise TrivialLattice("bottom equals top")
+    # Row a starts as all a, which leaves meet(a, a) = join(a, a) = a.
+    meet = [[i] * n for i in range(n)]
+    join = [[i] * n for i in range(n)]
+    for a in range(n):
+        da, ua = down[a], up[a]
+        for b in range(a + 1, n):
+            try:
+                meet[a][b] = meet[b][a] = by_down[da & down[b]]
+            except KeyError:
+                raise NotALattice(
+                    f"elements {labels[a]!r}, {labels[b]!r} have no meet",
+                    pair=(a, b)) from None
+            try:
+                join[a][b] = join[b][a] = by_up[ua & up[b]]
+            except KeyError:
+                raise NotALattice(
+                    f"elements {labels[a]!r}, {labels[b]!r} have no join",
+                    pair=(a, b)) from None
+    return bottom, top, tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
 class Lattice:
     """Immutable finite bounded lattice.
 
     Instances are built from an explicit order (tuple of up-set bitmasks)
     or via :meth:`from_covers`. Derived data computed by other modules is
     memoised on the instance through :meth:`memo`; the structure itself
-    never changes after __init__.
+    never changes once built.
     """
 
     __slots__ = ("n", "labels", "name", "bottom", "top",
@@ -167,51 +203,13 @@ class Lattice:
                 if up[j] & ~m:
                     raise InvalidParameter("order is not transitive")
                 down[j] |= 1 << i
-        down = tuple(down)
-
-        # Bounds, meets and joins by lookup (module docstring). Pairs run
-        # in (a, b) order with meet before join, so the first failing pair
-        # is reported.
-        by_down = {m: i for i, m in enumerate(down)}
-        by_up = {m: i for i, m in enumerate(up)}
-        bottom, top = by_up.get(full), by_down.get(full)
-        if bottom is None or top is None:
-            raise NoBounds("order has no unique minimum or maximum")
-        if bottom == top:
-            raise TrivialLattice("bottom equals top")
-        # Row a starts as all a, which leaves meet(a, a) = join(a, a) = a.
-        meet = [[i] * n for i in range(n)]
-        join = [[i] * n for i in range(n)]
-        for a in range(n):
-            da, ua = down[a], up[a]
-            for b in range(a + 1, n):
-                try:
-                    meet[a][b] = meet[b][a] = by_down[da & down[b]]
-                except KeyError:
-                    raise NotALattice(
-                        f"elements {labels[a]!r}, {labels[b]!r} have no meet",
-                        pair=(a, b)) from None
-                try:
-                    join[a][b] = join[b][a] = by_up[ua & up[b]]
-                except KeyError:
-                    raise NotALattice(
-                        f"elements {labels[a]!r}, {labels[b]!r} have no join",
-                        pair=(a, b)) from None
-
-        self._fill(labels, name, bottom, top, up, down, meet, join, {})
-
-    def _fill(self, labels, name, bottom, top, up, down, meet, join, memo):
-        """Assign every slot; meet and join are lists of rows."""
-        self.n = len(labels)
+        self.n = n
         self.labels = labels
         self.name = name
-        self.bottom = bottom
-        self.top = top
         self._up = up
-        self._down = down
-        self._meet = tuple(map(tuple, meet))
-        self._join = tuple(map(tuple, join))
-        self._memo = memo
+        self._down = down = tuple(down)
+        self._memo = {}
+        self.bottom, self.top, self._meet, self._join = _bounds_and_tables(labels, up, down)
 
     # -- construction ------------------------------------------------
 
@@ -257,36 +255,20 @@ class Lattice:
                 up[i] |= up[j]
         return cls(labels, up, name=name)
 
-    @classmethod
-    def _natural(cls, labels: tuple, up: tuple, down: tuple, key) -> "Lattice":
+    @staticmethod
+    def _natural(labels: tuple, up: tuple, down: tuple, key) -> "Lattice":
         """A lattice from the up- and down-set mask tuples of an order
-        already proved a lattice with ids forming a linear extension, its
-        canonical form stored as the canonical key. Nothing is validated:
-        the lattice enumerator calls this, and every other input goes
-        through __init__.
-
-        Ids respect the order, so 0 is the bottom and n - 1 the top. The
-        meet of a and b is above every common lower bound, so it is the
-        highest id in down[a] & down[b]. A finite poset with a top and all
-        meets has all joins: the common upper bounds of a and b include
-        the top, and their meet is above a and b and below each of them,
-        so it is the join. Every other common upper bound is above the
-        join, so the join is the lowest id in up[a] & up[b]. This bit
-        trick needs ids that form a linear extension, as the walk's do;
-        __init__'s mask lookup needs none, but on the 299 lattices of an
-        enumerate_lattices pass over n = 2..8 it took 3.4 ms against
-        3.2 ms here (min of 40 passes, shared 2 vCPU, Python 3.11)."""
-        n = len(labels)
-        meet = [[i] * n for i in range(n)]
-        join = [[i] * n for i in range(n)]
-        for a in range(n):
-            da, ua = down[a], up[a]
-            for b in range(a + 1, n):
-                meet[a][b] = meet[b][a] = (da & down[b]).bit_length() - 1
-                common = ua & up[b]
-                join[a][b] = join[b][a] = (common & -common).bit_length() - 1
-        lat = cls.__new__(cls)
-        lat._fill(labels, "", 0, n - 1, up, down, meet, join, {"canonical_key": key})
+        already proved a lattice, its canonical form stored as the
+        canonical key. Nothing is validated: the lattice enumerator calls
+        this, and every other input goes through __init__. The bounds and
+        tables are built on first read (_Untabled)."""
+        lat = object.__new__(_Untabled)
+        lat.n = len(labels)
+        lat.labels = labels
+        lat.name = ""
+        lat._up = up
+        lat._down = down
+        lat._memo = {"canonical_key": key}
         return lat
 
     # -- queries -----------------------------------------------------
@@ -359,6 +341,24 @@ class Lattice:
     def __repr__(self) -> str:
         tag = self.name or f"{self.n} elements"
         return f"<Lattice {tag}>"
+
+
+class _Untabled(Lattice):
+    """A Lattice whose bounds and meet and join tables are unset until
+    first read, as the enumerator builds them: most of its lattices are
+    only keyed. The first read of an unset slot falls through to
+    __getattr__, which fills all four and makes the instance a plain
+    Lattice, so every later read is a slot read."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        if name not in ("bottom", "top", "_meet", "_join"):
+            raise AttributeError(name)
+        self.bottom, self.top, self._meet, self._join = _bounds_and_tables(
+            self.labels, self._up, self._down)
+        self.__class__ = Lattice
+        return getattr(self, name)
 
 
 def format_element_set(lat: Lattice, s: frozenset) -> str:

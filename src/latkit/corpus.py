@@ -29,10 +29,11 @@ Each complete candidate's canonical form is computed straight from its
 down- and up-set masks, so a duplicate isomorph is rejected before any
 Lattice is built: only the first member of each isomorphism class in
 walk order becomes a Lattice, with that form stored as its canonical
-key. The walk has proved that candidate a lattice whose ids form a
-linear extension, so it is built from those masks by
-Lattice._natural, which fills the meet and join tables without
-validating the order again. The rule removes only candidates that are
+key. The walk has proved that candidate a lattice, so it is built from
+those masks by Lattice._natural without validating the order again; its
+bounds and meet and join tables are built on first read, by the same
+function that builds them for every Lattice, so an unfiltered
+enumeration builds none. The rule removes only candidates that are
 never first, so the output is the same as without it.
 """
 
@@ -80,8 +81,8 @@ def entry_for(name: str, lat: Lattice) -> CorpusEntry:
 # -- constructions -----------------------------------------------------
 
 def make_chain(k: int) -> Lattice:
-    if k < 1:
-        raise InvalidParameter(f"chain length must be positive, got {k}")
+    if not isinstance(k, int) or k < 1:
+        raise InvalidParameter(f"chain length must be a positive int, got {k!r}")
     if k > ELEMENT_CAP:
         raise SizeCapExceeded(f"chain length {k} exceeds the {ELEMENT_CAP} element cap")
     if k == 1:
@@ -94,8 +95,8 @@ def make_chain(k: int) -> Lattice:
 
 def make_boolean(k: int) -> Lattice:
     """Powerset of k atoms; elements are labeled by k-bit strings."""
-    if k < 1:
-        raise InvalidParameter(f"boolean exponent must be positive, got {k}")
+    if not isinstance(k, int) or k < 1:
+        raise InvalidParameter(f"boolean exponent must be a positive int, got {k!r}")
     # 2^k exceeds the cap exactly when k reaches the cap's bit length;
     # comparing k first keeps a huge k from allocating 1 << k.
     if k >= ELEMENT_CAP.bit_length():
@@ -108,8 +109,8 @@ def make_boolean(k: int) -> Lattice:
 
 def make_Mn(n: int) -> Lattice:
     """Bounds plus n pairwise incomparable atoms."""
-    if n < 2:
-        raise InvalidParameter(f"diamond width must be at least 2, got {n}")
+    if not isinstance(n, int) or n < 2:
+        raise InvalidParameter(f"diamond width must be an int of at least 2, got {n!r}")
     if n + 2 > ELEMENT_CAP:
         raise SizeCapExceeded(f"{n + 2} elements exceed the {ELEMENT_CAP} element cap")
     labels = ["0"] + [f"a{i}" for i in range(1, n + 1)] + ["1"]
@@ -171,8 +172,8 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
                        cap: int = ENUM_CAP) -> list[Lattice]:
     """All bounded lattices on n elements up to isomorphism, optionally
     keeping only those carrying every requested tag."""
-    if n < 1:
-        raise InvalidParameter(f"element count must be positive, got {n}")
+    if not isinstance(n, int) or n < 1:
+        raise InvalidParameter(f"element count must be a positive int, got {n!r}")
     if n > cap:
         raise SizeCapExceeded(f"enumeration capped at {cap} elements, got {n}")
     unknown = set(filters) - set(TAG_PREDICATES)

@@ -122,7 +122,7 @@ from dataclasses import dataclass
 
 from .complementation import complement_masks
 from .connectives import implies_index, implies_masks, is_mn_shaped
-from .core import (Lattice, _closed_masks, _positions_above_below,
+from .core import (Lattice, _closed_masks, _positions_above_below, check_ids,
                    format_element_set, is_complemented, is_modular,
                    members, subset_key, to_mask, to_set)
 from .errors import InvalidParameter, SizeCapExceeded
@@ -139,12 +139,14 @@ SUBSTITUTION_CAP = 1000  # at least Bell(6): no lattice of n <= 6 exceeds it
 
 def _rows(lat: Lattice, rel) -> Rows:
     """Row masks of a relation given as ordered id pairs. Raises
-    InvalidParameter for an id outside 0..n-1."""
-    n = lat.n
-    rows = [0] * n
-    for a, b in rel:
-        if not (0 <= a < n and 0 <= b < n):
-            raise InvalidParameter(f"pair ({a}, {b}) is not in 0..{n - 1}")
+    InvalidParameter for a member that is not a pair of ids in 0..n-1."""
+    rows = [0] * lat.n
+    for pair in rel:
+        try:
+            a, b = pair
+        except (TypeError, ValueError):
+            raise InvalidParameter(f"{pair!r} is not a pair of element ids") from None
+        check_ids(lat, a, b)
         rows[a] |= 1 << b
     return tuple(rows)
 

@@ -30,6 +30,12 @@ def test_construction_errors():
         make_chain(65)
 
 
+@pytest.mark.parametrize("build", [enumerate_lattices, make_chain, make_boolean, make_Mn])
+def test_sizes_that_are_not_ints_are_refused(build):
+    with pytest.raises(InvalidParameter):
+        build(2.5)
+
+
 def test_boolean_exponent_is_capped_before_the_shift():
     """B:6 has 64 elements, the cap. For B:100000000 the exponent is
     compared with the cap before anything is built: 1 << k alone would

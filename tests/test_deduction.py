@@ -85,6 +85,13 @@ def test_boolean_check_rejects_other_shapes(n5):
         ds_lattice_is_boolean_2n(n5)
 
 
+@pytest.mark.parametrize("pair", [(1.5, 2), ("a", 1), (0, 1, 2)])
+@pytest.mark.parametrize("fn", [kernel, has_sp_plus, has_sp_implies])
+def test_relation_functions_reject_members_that_are_not_id_pairs(fn, pair):
+    with pytest.raises(InvalidParameter):
+        fn(make_N5(), {pair})
+
+
 def test_ds_lattice_tables(m3):
     dsl = all_deductive_systems(m3)
     sysix = {s: i for i, s in enumerate(dsl.systems)}

@@ -23,7 +23,7 @@ from latkit.errors import InvalidParameter, NotALattice
 from .oracles import (bounded_posets, brute_covers, brute_join, brute_meet,
                       first_lattice_per_class, first_missing_bound,
                       natural_lattice_labellings, ordered_matrix_key, relabel)
-from .strategies import place
+from .strategies import fresh, place
 
 # sha256 over one line per lattice, repr((labels, up masks)), in output order,
 # of enumerate_lattices(n) for n = 2..9, as recorded before candidates that
@@ -109,6 +109,24 @@ def test_enumerator_key_equals_fresh_key(nine):
             assert getattr(lat, slot) == getattr(fresh, slot), (lat.labels, lat._up, slot)
         assert stored == canonical_key(fresh) == canonical_form(lat._up, lat._down)
     assert len(lats) == 1377
+
+
+def test_enumerated_tables_are_built_on_first_read():
+    """An enumerated lattice holds no bounds or tables until one of them
+    is read. The first read, of each of the four in turn, sets all four
+    as the validating constructor does and leaves a plain Lattice."""
+    slots = ("bottom", "top", "_meet", "_join")
+    lats = [lat for n in range(2, 9) for lat in enumerate_lattices(n, cap=8)]
+    for i, lat in enumerate(lats):
+        for slot in slots:
+            with pytest.raises(AttributeError):
+                object.__getattribute__(lat, slot)
+        getattr(lat, slots[i % 4])
+        assert type(lat) is Lattice
+        want = fresh(lat)
+        for slot in slots:
+            assert object.__getattribute__(lat, slot) == getattr(want, slot), (lat._up, slot)
+    assert len(lats) == 299
 
 
 def test_enumerate_eight_elements():
