@@ -13,9 +13,9 @@ import json
 import sys
 
 from .complementation import complement_masks, dblplus_masks, satisfies_dblplus_identity
-from .connectives import is_mn_shaped, op_table
+from .connectives import is_mn_shaped, op_masks
 from .core import (ELEMENT_CAP, Lattice, _positions_holding, is_complemented,
-                   is_distributive, is_modular, load_lattice_file, members)
+                   is_distributive, is_modular, load_lattice_file, mask_labels, members)
 from .corpus import (ENUM_CAP, complemented_sweep, default_corpus, entry_for,
                      named_lattice)
 from .deduction import (PARTITION_CAP, SUBSET_CAP, _is_compatible, all_deductive_systems,
@@ -119,22 +119,13 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _set_labels(lat: Lattice, s: frozenset) -> list[str]:
-    return [lat.label(x) for x in sorted(s)]
-
-
-def _braced(lat: Lattice, s: frozenset) -> str:
-    return "{" + ",".join(_set_labels(lat, s)) + "}"
-
-
 # -- subcommands -------------------------------------------------------
 
 def cmd_info(args: argparse.Namespace) -> int:
     lat = load_source(args)
-    tags = []
-    tags.append("complemented" if is_complemented(lat) else "not complemented")
-    tags.append("modular" if is_modular(lat) else "non-modular")
-    tags.append("distributive" if is_distributive(lat) else "non-distributive")
+    tags = ["complemented" if is_complemented(lat) else "not complemented",
+            "modular" if is_modular(lat) else "non-modular",
+            "distributive" if is_distributive(lat) else "non-distributive"]
     identity = satisfies_dblplus_identity(lat)
     if identity:
         tags.append("x⁺⁺≈x")
@@ -142,14 +133,14 @@ def cmd_info(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         _emit(args, json.dumps({
             "name": name, "elements": lat.n,
-            "bottom": lat.label(lat.bottom), "top": lat.label(lat.top),
+            "bottom": lat.labels[lat.bottom], "top": lat.labels[lat.top],
             "covers": len(lat.covers()),
             "complemented": is_complemented(lat), "modular": is_modular(lat),
             "distributive": is_distributive(lat), "dblplus_identity": identity,
         }, ensure_ascii=False, indent=2))
     else:
         lines = [f"lattice {name}: {lat.n} elements, {len(lat.covers())} cover pairs",
-                 f"bottom {lat.label(lat.bottom)}, top {lat.label(lat.top)}",
+                 f"bottom {lat.labels[lat.bottom]}, top {lat.labels[lat.top]}",
                  "tags: " + ", ".join(tags)]
         _emit(args, "\n".join(lines))
     return 0
@@ -159,9 +150,9 @@ def cmd_plus_table(args: argparse.Namespace) -> int:
     lat = load_source(args)
     if args.fmt == "json":
         _emit(args, json.dumps({
-            "elements": [lat.label(x) for x in lat.elements],
-            "plus": [_set_labels(lat, members(m)) for m in complement_masks(lat)],
-            "dblplus": [_set_labels(lat, members(m)) for m in dblplus_masks(lat)],
+            "elements": lat.labels,
+            "plus": [mask_labels(lat, m) for m in complement_masks(lat)],
+            "dblplus": [mask_labels(lat, m) for m in dblplus_masks(lat)],
         }, ensure_ascii=False, indent=2))
     else:
         _emit(args, render_plus_table(lat))
@@ -171,12 +162,10 @@ def cmd_plus_table(args: argparse.Namespace) -> int:
 def cmd_op_table(args: argparse.Namespace) -> int:
     lat = load_source(args)
     if args.fmt == "json":
-        table = op_table(lat, args.op)
         _emit(args, json.dumps({
             "op": args.op,
-            "elements": [lat.label(x) for x in lat.elements],
-            "cells": [[_set_labels(lat, cell) for cell in row]
-                      for row in table.entries],
+            "elements": lat.labels,
+            "cells": [[mask_labels(lat, m) for m in row] for row in op_masks(lat, args.op)],
         }, ensure_ascii=False, indent=2))
     else:
         _emit(args, render_op_table(lat, args.op))
@@ -294,17 +283,16 @@ def cmd_deductive_systems(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         _emit(args, json.dumps({
             "lattice": lat.name or (args.file or "lattice"),
-            "systems": [{"elements": _set_labels(lat, d), "compatible": c}
-                        for d, c in zip(dsl.systems, compat)],
+            "systems": [{"elements": mask_labels(lat, d), "compatible": c}
+                        for d, c in zip(dsl.masks, compat)],
             "boolean_2n": boolean,
         }, ensure_ascii=False, indent=2))
         return 0
 
-    lines = [f"{len(dsl.systems)} deductive systems of "
-             f"{lat.name or 'the lattice'}:"]
-    for i, (d, c) in enumerate(zip(dsl.systems, compat)):
+    lines = [f"{len(dsl.masks)} deductive systems of {lat.name or 'the lattice'}:"]
+    for i, (d, c) in enumerate(zip(dsl.masks, compat)):
         mark = "  (compatible)" if c else ""
-        lines.append(f"  S{i} = {_braced(lat, d)}{mark}")
+        lines.append(f"  S{i} = {{{','.join(mask_labels(lat, d))}}}{mark}")
     if args.lattice_of:
         edges = [f"S{i} < S{j}" for i, j in _inclusion_covers(dsl.masks)]
         lines.append("inclusion covers: " + ("; ".join(edges) if edges else "none"))

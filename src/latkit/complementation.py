@@ -15,7 +15,7 @@ closed_masks are the memoised tables the checks read. complement_masks
 is computed from the order and everything else is derived from it, so a
 table placed in the complement_masks memo reaches every check. The
 public functions take and return frozensets of ids, converted from the
-masks on each call; no frozenset table is memoised.
+masks on each call, and nothing in the package calls them.
 
 closed_masks lists the family of all A+, about 2^n sets on M:n, so
 verify never lists it where an O(n^2) premise decides the laws it was
@@ -60,7 +60,7 @@ from .core import (
     check_ids,
     convex_mask,
     find_n5_through_bounds,
-    format_element_set,
+    format_mask,
     is_complemented,
     is_modular,
     labelled,
@@ -260,35 +260,35 @@ def closure_lattice(lat: Lattice) -> ClosureReport:
 
     violations = []
     if not _polarity_proves_ortholattice(lat):
-        fmt = lambda m: format_element_set(lat, members(m))
-        violations += [f"family member not closed: {fmt(s)}" for s, p in zip(masks, pls)
-                       if intersect_rows(cm, p, full) != s]
-        violations += [f"orthocomplement escapes the family: {fmt(s)}"
-                       for s, o in zip(masks, ortho) if o < 0]
+        text = [format_mask(lat, s) for s in masks]
+        violations += [f"family member not closed: {text[i]}" for i, (s, p)
+                       in enumerate(zip(masks, pls)) if intersect_rows(cm, p, full) != s]
+        violations += [f"orthocomplement escapes the family: {text[i]}"
+                       for i, o in enumerate(ortho) if o < 0]
         for i, s in enumerate(masks):
             for j, t in enumerate(masks):
                 if meet[i][j] < 0:
-                    violations.append(f"intersection escapes the family: {fmt(s)}, {fmt(t)}")
+                    violations.append(f"intersection escapes the family: {text[i]}, {text[j]}")
                 if join[i][j] < 0:
                     violations.append(
-                        f"closure of union escapes the family: {fmt(s)}, {fmt(t)}")
+                        f"closure of union escapes the family: {text[i]}, {text[j]}")
                 elif (s | t) & ~masks[join[i][j]]:
-                    violations.append(f"join not an upper bound: {fmt(s)}, {fmt(t)}")
+                    violations.append(f"join not an upper bound: {text[i]}, {text[j]}")
 
         # The witness is the first position w that contains s and t but
         # not their join, or lies in both but not in their meet; at one
         # position the join is reported first. A table entry of -1
         # stands for the last member.
         above, below = _positions_above_below(masks)
-        for i, s in enumerate(masks):
-            for j, t in enumerate(masks):
+        for i in range(len(masks)):
+            for j in range(len(masks)):
                 bad_join = above[i] & above[j] & ~above[join[i][j]]
                 bad_meet = below[i] & below[j] & ~below[meet[i][j]]
                 first = (bad_join | bad_meet) & -(bad_join | bad_meet)
                 if first & bad_join:
-                    violations.append(f"join not least: {fmt(s)}, {fmt(t)}")
+                    violations.append(f"join not least: {text[i]}, {text[j]}")
                 elif first:
-                    violations.append(f"meet not greatest: {fmt(s)}, {fmt(t)}")
+                    violations.append(f"meet not greatest: {text[i]}, {text[j]}")
 
         top, empty = index.get(full), index.get(0)
         if top is None or empty is None:
@@ -297,14 +297,14 @@ def closure_lattice(lat: Lattice) -> ClosureReport:
             if o < 0:
                 continue
             if ortho[o] != i:
-                violations.append(f"orthocomplement not involutive: {fmt(s)}")
+                violations.append(f"orthocomplement not involutive: {text[i]}")
             if meet[i][o] != empty:
-                violations.append(f"set meets its orthocomplement: {fmt(s)}")
+                violations.append(f"set meets its orthocomplement: {text[i]}")
             if join[i][o] != top:
-                violations.append(f"set does not join to full with orthocomplement: {fmt(s)}")
+                violations.append(f"set does not join to full with orthocomplement: {text[i]}")
             for j, t in enumerate(masks):
                 if not s & ~t and masks[ortho[j]] & ~masks[o]:
-                    violations.append(f"orthocomplement not antitone: {fmt(s)}, {fmt(t)}")
+                    violations.append(f"orthocomplement not antitone: {text[i]}, {text[j]}")
 
     return ClosureReport(tuple(map(to_set, masks)), tuple(tuple(r) for r in meet),
                          tuple(tuple(r) for r in join),
@@ -337,7 +337,6 @@ def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
       A whose A+ fails."""
     cm, full = complement_masks(lat), (1 << lat.n) - 1
     pl = lambda m: intersect_rows(cm, m, full)
-    fmt = lambda m: format_element_set(lat, members(m))
     ext = next((x for x, row in enumerate(cm)
                 if any(not cm[y] >> x & 1 for y in members(row))), None)
     adj = next(((x, y) for x, row in enumerate(cm) for y in lat.elements
@@ -357,11 +356,12 @@ def check_galois_laws(lat: Lattice, exhaustive_limit: int = 6,
         subsets = (sum(1 << x for x in c) for k in range(len(ids) + 1)
                    for c in combinations(ids, k))
         a = next((a for a in subsets if pl(a) in bad), None)
-        return None if a is None else f"A={fmt(a)}"
+        return None if a is None else f"A={format_mask(lat, a)}"
 
-    witnesses = (None if ext is None else f"A={fmt(1 << ext)}",
+    witnesses = (None if ext is None else f"A={format_mask(lat, 1 << ext)}",
                  first(triple_bad), first(disj_bad), None,
-                 None if adj is None else f"A={fmt(1 << adj[0])} B={fmt(1 << adj[1])}")
+                 None if adj is None
+                 else f"A={format_mask(lat, 1 << adj[0])} B={format_mask(lat, 1 << adj[1])}")
     return PropertyReport("galois laws (exhaustive)", tuple(
         CheckResult(name, wit is None, wit) for name, wit in zip(_GALOIS_LAWS, witnesses)))
 
@@ -388,7 +388,7 @@ def check_complement_sets(lat: Lattice) -> PropertyReport:
                            ok, wit, asserted))
     res.append(law("every a+ convex", lambda a: convex_mask(lat, cm[a]), product(els),
                    asserted,
-                   lambda a: f"a={lat.labels[a]} a+={format_element_set(lat, members(cm[a]))}"))
+                   lambda a: f"a={lat.labels[a]} a+={format_mask(lat, cm[a])}"))
     res.append(CheckResult("identity for x++ requires injectivity", True, None, asserted))
     return PropertyReport("complement set structure", tuple(res))
 
@@ -401,7 +401,6 @@ def check_modular_antichains(lat: Lattice) -> PropertyReport:
     that fails is the least C(x, y) other than the carrier (module
     docstring), so the family is never listed."""
     asserted = is_complemented(lat) and is_modular(lat)
-    fmt = lambda m: format_element_set(lat, members(m))
     cm, dps, up = complement_masks(lat), dblplus_masks(lat), lat._up
     full = (1 << lat.n) - 1
     holders = [0] * lat.n  # holders[y]: the a with y in a+
@@ -412,12 +411,12 @@ def check_modular_antichains(lat: Lattice) -> PropertyReport:
     least = min({intersect_rows(cm, h, full) for h in both if h} - {full},
                 key=subset_key, default=None)
     return PropertyReport("antichain structure", (
-        law("every a+ an antichain", lambda a: antichain_mask(lat, cm[a]),
-            product(lat.elements), asserted, lambda a: f"a={lat.labels[a]} a+={fmt(cm[a])}"),
+        law("every a+ an antichain", lambda a: antichain_mask(lat, cm[a]), product(lat.elements),
+            asserted, lambda a: f"a={lat.labels[a]} a+={format_mask(lat, cm[a])}"),
         CheckResult("A+ an antichain for every nonempty A", least is None,
-                    None if least is None else f"A+={fmt(least)}", asserted),
-        law("every a++ an antichain", lambda a: antichain_mask(lat, dps[a]),
-            product(lat.elements), asserted, lambda a: f"a={lat.labels[a]} a++={fmt(dps[a])}"),
+                    None if least is None else f"A+={format_mask(lat, least)}", asserted),
+        law("every a++ an antichain", lambda a: antichain_mask(lat, dps[a]), product(lat.elements),
+            asserted, lambda a: f"a={lat.labels[a]} a++={format_mask(lat, dps[a])}"),
     ))
 
 

@@ -9,15 +9,16 @@ the singleton of the top element.
 Each operation has one definition on sets, on int masks: implies_mask
 and odot_mask; implies, odot, implies_sets and odot_sets convert at the
 boundary. implies_masks and odot_masks, the memoised tables the checks
-read, evaluate it on singletons from the complement_masks memo: row a of
--> is keyed by a ^ b and lists a+ once, column b of (.) lists b+ once.
+and the renderers read (op_masks picks one by name), evaluate it on
+singletons from the complement_masks memo: row a of -> is keyed by a ^ b
+and lists a+ once, column b of (.) lists b+ once. op_table,
 implies_table and odot_table convert the mask tables to frozensets on
-each call; no check reads them. A table placed in the complement_masks
-memo reaches both tables, and one placed in the implies_masks or
-odot_masks memo reaches every check and every view. implies_index,
-derived from implies_masks, lists for each a the distinct values of
-a->c with the mask of the c that give each; a row of the table takes
-only a few distinct values.
+each call; nothing in the package reads them. A table placed in the
+complement_masks memo reaches both tables, and one placed in the
+implies_masks or odot_masks memo reaches every check and every view.
+implies_index, derived from implies_masks, lists for each a the
+distinct values of a->c with the mask of the c that give each; a row of
+the table takes only a few distinct values.
 
 The costliest laws are decided a row at a time by report.row_law, and
 the lowest failing coordinate of a row gives the first failing tuple of
@@ -35,11 +36,11 @@ from dataclasses import dataclass
 from itertools import product
 
 from .complementation import complement_masks, dblplus_masks, plus_mask
-from .core import (Lattice, check_ids, format_element_set, is_complemented, is_modular,
+from .core import (Lattice, check_ids, format_mask, is_complemented, is_modular,
                    labelled, meet_closed_mask, members, to_mask, to_set)
 from .errors import InvalidParameter
 from .report import CheckResult, PropertyReport, law, row_law
-from .setops import intersect_rows, mask_join, mask_le1, mask_le2, mask_meet
+from .setops import intersect_rows, mask_join, mask_le1, mask_le2, mask_meet, union_rows
 
 
 def implies_mask(lat: Lattice, a: int, b: int) -> int:
@@ -76,11 +77,7 @@ def implies_union(lat: Lattice, x: int, s: frozenset) -> frozenset:
     """implies from an element into a set: the union over the members.
     Raises InvalidParameter for an id outside 0..n-1."""
     check_ids(lat, x)
-    row = implies_masks(lat)[x]
-    out = 0
-    for t in members(to_mask(lat, s)):
-        out |= row[t]
-    return to_set(out)
+    return to_set(union_rows(implies_masks(lat)[x], to_mask(lat, s)))
 
 
 def implies_masks(lat: Lattice) -> tuple[tuple[int, ...], ...]:
@@ -121,12 +118,12 @@ def odot_masks(lat: Lattice) -> tuple[tuple[int, ...], ...]:
 
 def implies_table(lat: Lattice) -> tuple[tuple[frozenset, ...], ...]:
     """implies_masks as frozensets, converted on each call."""
-    return tuple(tuple(map(to_set, row)) for row in implies_masks(lat))
+    return op_table(lat, "implies").entries
 
 
 def odot_table(lat: Lattice) -> tuple[tuple[frozenset, ...], ...]:
     """odot_masks as frozensets, converted on each call."""
-    return tuple(tuple(map(to_set, row)) for row in odot_masks(lat))
+    return op_table(lat, "odot").entries
 
 
 def implies_index(lat: Lattice) -> tuple[tuple[tuple[int, int], ...], ...]:
@@ -195,12 +192,18 @@ class OpTable:
     entries: tuple[tuple[frozenset, ...], ...]
 
 
-def op_table(lat: Lattice, which: str) -> OpTable:
+def op_masks(lat: Lattice, which: str) -> tuple[tuple[int, ...], ...]:
+    """implies_masks or odot_masks, by the name "implies" or "odot"."""
     if which == "implies":
-        return OpTable("implies", implies_table(lat))
+        return implies_masks(lat)
     if which == "odot":
-        return OpTable("odot", odot_table(lat))
+        return odot_masks(lat)
     raise InvalidParameter(f"unknown operation {which!r}")
+
+
+def op_table(lat: Lattice, which: str) -> OpTable:
+    """op_masks as frozensets, converted on each call."""
+    return OpTable(which, tuple(tuple(map(to_set, row)) for row in op_masks(lat, which)))
 
 
 def is_minimal_in_dblplus(lat: Lattice, a: int) -> bool:
@@ -323,7 +326,7 @@ def check_modus_laws(lat: Lattice) -> PropertyReport:
 
     return PropertyReport("modus laws", (
         row_law("modus ponens: a ^ (a->b) = {a^b}", by_value(ponens_at), product(els), asserted,
-                lambda a, b: f"{ab(a, b)} got={format_element_set(lat, members(ponens(a, b)))}"),
+                lambda a, b: f"{ab(a, b)} got={format_mask(lat, ponens(a, b))}"),
         row_law("modus tollens: a+ below b+ gives (a->b) ^ b+ = a+", tollens,
                 product(els), asserted, ab),
         law("value stability: c in a->b gives a->c = a->b",
@@ -387,7 +390,7 @@ def check_conjunction_laws(lat: Lattice) -> PropertyReport:
     stays: set[tuple[int, int]] = set()
 
     def got(a, b):
-        return f"{ab(a, b)} got={format_element_set(lat, members(ot[a][b]))}"
+        return f"{ab(a, b)} got={format_mask(lat, ot[a][b])}"
 
     def bounded(a, b):
         return not ot[a][b] & ~(up[meet[a][b]] & down[b])
@@ -425,7 +428,7 @@ def check_conjunction_laws(lat: Lattice) -> PropertyReport:
                       lambda a, b: order_fails(ot[a], ot[b]), comp, labelled(lat, "abc")),
         law("idempotence: a(.)a = {a}", lambda a: ot[a][a] == 1 << a,
             product(els), comp,
-            lambda a: f"a={lat.labels[a]} got={format_element_set(lat, members(ot[a][a]))}"),
+            lambda a: f"a={lat.labels[a]} got={format_mask(lat, ot[a][a])}"),
         row_law("a below b iff a(.)b = {a}; (a(.)b)(.)b = a(.)b", unmatched,
                 product(els), modular,
                 lambda a, b: got(a, b) if not order_is_odot(a, b)

@@ -13,7 +13,9 @@ matching subclass of LatticeError. Lattice.__init__ validates the poset
 axioms and then calls it. The lattice enumerator alone skips the
 validation, since its walk proves each order it completes a lattice, and
 Lattice._natural defers the call to the first read of a bound or a
-table: most enumerated lattices are only keyed.
+table: most enumerated lattices are only keyed. A subset is an int mask,
+bit x for element x, up to the printed text, which format_mask gives;
+to_set, format_element_set, up_set and down_set serve callers outside.
 """
 
 from __future__ import annotations
@@ -361,17 +363,25 @@ class _Untabled(Lattice):
         return getattr(self, name)
 
 
-def format_element_set(lat: Lattice, s: frozenset) -> str:
-    """Render a subset: label concatenation when every label is one
-    character, otherwise comma-separated braces. Empty set renders as ∅.
-    Raises InvalidParameter for an id outside 0..n-1."""
-    check_ids(lat, *s)
-    if not s:
+def mask_labels(lat: Lattice, m: int) -> list[str]:
+    """The labels of the members of the subset mask m, in id order."""
+    return [lat.labels[i] for i in members(m)]
+
+
+def format_mask(lat: Lattice, m: int) -> str:
+    """Render the subset mask m: label concatenation when every label is
+    one character, otherwise comma-separated braces; ∅ when empty."""
+    if not m:
         return "∅"
-    labs = [lat.labels[i] for i in sorted(s)]
     if all(len(x) == 1 for x in lat.labels):
-        return "".join(labs)
-    return "{" + ",".join(labs) + "}"
+        return "".join(mask_labels(lat, m))
+    return "{" + ",".join(mask_labels(lat, m)) + "}"
+
+
+def format_element_set(lat: Lattice, s: frozenset) -> str:
+    """format_mask of a set of ids. Raises InvalidParameter for an id
+    outside 0..n-1."""
+    return format_mask(lat, to_mask(lat, s))
 
 
 def check_ids(lat: Lattice, *ids: int) -> None:

@@ -153,7 +153,7 @@ def direct_product(l1: Lattice, l2: Lattice) -> Lattice:
     if n1 * n2 > ELEMENT_CAP:
         raise SizeCapExceeded(
             f"product would have {n1 * n2} elements, cap is {ELEMENT_CAP}")
-    labels = [f"{l1.label(i)}.{l2.label(j)}" for i in l1.elements for j in l2.elements]
+    labels = [f"{x}.{y}" for x in l1.labels for y in l2.labels]
     ups = []
     for i in l1.elements:
         for j in l2.elements:
@@ -176,6 +176,8 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
         raise InvalidParameter(f"element count must be a positive int, got {n!r}")
     if n > cap:
         raise SizeCapExceeded(f"enumeration capped at {cap} elements, got {n}")
+    if isinstance(filters, str):
+        raise InvalidParameter(f"filters {filters!r} is a string, not a collection of tag names")
     unknown = set(filters) - set(TAG_PREDICATES)
     if unknown:
         raise InvalidParameter(f"unknown tags: {sorted(unknown)}")

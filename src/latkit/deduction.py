@@ -123,7 +123,7 @@ from dataclasses import dataclass
 from .complementation import complement_masks
 from .connectives import implies_index, implies_masks, is_mn_shaped
 from .core import (Lattice, _closed_masks, _positions_above_below, check_ids,
-                   format_element_set, is_complemented, is_modular,
+                   format_mask, is_complemented, is_modular,
                    members, subset_key, to_mask, to_set)
 from .errors import InvalidParameter, SizeCapExceeded
 from .report import SKIPPED, CheckResult, PropertyReport, law
@@ -217,8 +217,8 @@ class DSLattice:
     order, so the least member comes first, as the family is intersection
     closed, and the carrier last (check_deductive_family proves both).
     The meet/join tables are indexed by position in masks. systems, the
-    frozenset view, and the k x k tables are built on first access: no
-    check reads them."""
+    frozenset view, and the k x k tables are built on first access:
+    nothing in the package reads them."""
     masks: tuple[int, ...]
 
     @property
@@ -556,8 +556,7 @@ def _skips_over_cap(title: str):
 
 def _sets(lat: Lattice, *names: str):
     """Witness for law(): the leading subset masks of a tuple as "D=... E=..."."""
-    return lambda *masks: " ".join(f"{k}={format_element_set(lat, members(m))}"
-                                   for k, m in zip(names, masks))
+    return lambda *masks: " ".join(f"{k}={format_mask(lat, m)}" for k, m in zip(names, masks))
 
 
 def _within(a: Rows, b: Rows) -> bool:

@@ -1,9 +1,10 @@
 """Pointwise operations and the three order relations on subsets.
 
 Inside the package a subset is an int mask, bit x set when element x is a
-member. The mask_* kernels below work on masks; the public set_* functions
-take and return frozensets of ids, convert at the boundary and raise
-InvalidParameter for an id outside 0..n-1.
+member, until core.format_mask prints it. The mask_* kernels below work
+on masks; the public set_* functions take and return frozensets of ids,
+convert at the boundary and raise InvalidParameter for an id outside
+0..n-1, and nothing in the package calls them.
 
 Empty-set behaviour follows the literal quantifier reading: set_le is
 vacuously true whenever either side is empty; set_le1 fails only when the
