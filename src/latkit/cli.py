@@ -123,9 +123,10 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 def cmd_info(args: argparse.Namespace) -> int:
     lat = load_source(args)
-    tags = ["complemented" if is_complemented(lat) else "not complemented",
-            "modular" if is_modular(lat) else "non-modular",
-            "distributive" if is_distributive(lat) else "non-distributive"]
+    tags = []
+    tags.append("complemented" if is_complemented(lat) else "not complemented")
+    tags.append("modular" if is_modular(lat) else "non-modular")
+    tags.append("distributive" if is_distributive(lat) else "non-distributive")
     identity = satisfies_dblplus_identity(lat)
     if identity:
         tags.append("x⁺⁺≈x")

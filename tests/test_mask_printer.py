@@ -9,7 +9,7 @@ import pytest
 
 import latkit
 from latkit.cli import main
-from latkit.core import format_element_set, format_mask, mask_labels, to_mask
+from latkit.core import format_element_set, format_mask, mask_labels, members, to_mask
 from latkit.corpus import enumerate_lattices, make_Mn, make_N5
 from latkit.deduction import DSLattice
 from latkit.errors import InvalidParameter
@@ -133,12 +133,15 @@ def test_subcommands_read_no_set_view(monkeypatch):
     assert main(["export-dot", "--lattice", "M:3"]) == 0
 
 
-def test_mask_printer_agrees_with_the_set_printer():
+def test_mask_printer_on_every_subset():
     for lat in (make_N5(), make_Mn(3)):
+        short = all(len(x) == 1 for x in lat.labels)
         for m in range(1 << lat.n):
-            ids = [i for i in lat.elements if m >> i & 1]
-            assert mask_labels(lat, m) == [lat.labels[i] for i in ids]
-            assert format_element_set(lat, frozenset(ids)) == format_mask(lat, m)
+            labs = [lat.labels[i] for i in lat.elements if m >> i & 1]
+            text = "∅" if not labs else "".join(labs) if short else "{" + ",".join(labs) + "}"
+            assert mask_labels(lat, m) == labs
+            assert format_mask(lat, m) == text
+            assert format_element_set(lat, frozenset(members(m))) == text
     assert format_mask(make_N5(), 0) == "∅"
     assert format_mask(make_Mn(3), to_mask(make_Mn(3), {1, 4})) == "{a1,1}"
 
