@@ -15,7 +15,7 @@ closed_masks are the memoised tables the checks read. complement_masks
 is computed from the order and everything else is derived from it, so a
 table placed in the complement_masks memo reaches every check. The
 public functions take and return frozensets of ids, converted from the
-masks on each call, and nothing in the package calls them.
+masks on each call; the package calls only closure_lattice, for violations.
 
 closed_masks lists the family of all A+, about 2^n sets on M:n, so
 verify never lists it where an O(n^2) premise decides the laws it was
