@@ -189,6 +189,9 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
     labels = tuple(f"x{i}" for i in range(n))
     out: list[Lattice] = []
     seen: set = set()
+    # Test each lattice as the walk keeps it, so no dropped one stays held.
+    preds = [TAG_PREDICATES[t] for t in sorted(filters)]
+    keep = (lambda lat: all(p(lat) for p in preds) and out.append(lat)) if preds else out.append
 
     def place(k: int, twins: list):
         if k == n - 1:
@@ -205,7 +208,7 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
             key = canonical_form(up, down)
             if key not in seen:
                 seen.add(key)
-                out.append(Lattice._natural(labels, tuple(up), tuple(down), key))
+                keep(Lattice._natural(labels, tuple(up), tuple(down), key))
             return
         # Everything sits above the bottom.
         for m in _closed_masks(range(1, k), downs, 1):
@@ -248,10 +251,6 @@ def enumerate_lattices(n: int, filters: frozenset = frozenset(),
         return untold
 
     place(1, [])
-
-    preds = [TAG_PREDICATES[t] for t in sorted(filters)]
-    if preds:
-        out = [lat for lat in out if all(p(lat) for p in preds)]
     return out
 
 

@@ -14,12 +14,11 @@ because Theta of an arbitrary deductive system can fail transitivity.
 The public functions take and return frozensets of ids, and relations as
 frozensets of ordered id pairs.
 
-The within-D rows and Theta are memoised on the lattice per subset
-mask, and Theta reads the within-D rows; both are shared by the five
-checks, the compatibility verdict and the public theta. The verdict
-itself is not memoised: verify decides each system once. The within-D
-rows read connectives.implies_index, so they work on the few distinct
-values of each row of the implication table, not on its n columns. The
+Nothing is memoised per subset: the within-D rows, and Theta, which
+reads them, are built on each call; _compatibility builds both once for
+the verdict and the recovery check. They read connectives.implies_index,
+so they work on the few distinct values of each row of the implication
+table, not on its n columns. The
 hypothesis step of the verdict reads no rows: on a deductive D it fails
 exactly when the empty set and a set outside D are values of the table.
 
@@ -121,7 +120,7 @@ import operator
 from dataclasses import dataclass
 
 from .complementation import complement_masks
-from .connectives import implies_index, implies_masks, is_mn_shaped
+from .connectives import _hits, implies_index, implies_masks, is_mn_shaped
 from .core import (Lattice, _closed_masks, _positions_above_below, check_ids,
                    format_mask, is_complemented, is_modular,
                    members, subset_key, to_mask, to_set)
@@ -280,17 +279,10 @@ def ds_lattice_is_boolean_2n(lat: Lattice) -> bool:
 # -- relations ---------------------------------------------------------
 
 def _within_rows(lat: Lattice, d: int) -> list[int]:
-    """Row x holds the y with implies(x, y) within d: the columns of the
-    distinct values of row x that lie within d. Memoised on the lattice
-    per subset mask."""
-    found = lat.memo("within_rows", dict)
-    try:
-        return found[d]
-    except KeyError:
-        nd = ~d
-        rows = found[d] = [sum(cols for v, cols in row if not v & nd)
-                           for row in implies_index(lat)]
-        return rows
+    """Row x holds the y with implies(x, y) within d: every column but the
+    hits of row x on the outside of d. Computed on each call."""
+    full, nd = (1 << lat.n) - 1, ~d
+    return [full ^ _hits(row, nd) for row in implies_index(lat)]
 
 
 def _both_ways(rows) -> Rows:
@@ -304,14 +296,8 @@ def _both_ways(rows) -> Rows:
 
 
 def _theta(lat: Lattice, d: int) -> Rows:
-    """Theta(d) as rows, the symmetric part of the within-d rows.
-    Memoised on the lattice per subset mask."""
-    found = lat.memo("theta", dict)
-    try:
-        return found[d]
-    except KeyError:
-        rows = found[d] = _both_ways(_within_rows(lat, d))
-        return rows
+    """Theta(d) as rows, the symmetric part of the within-d rows; not memoised."""
+    return _both_ways(_within_rows(lat, d))
 
 
 def theta(lat: Lattice, d: frozenset) -> Relation:
@@ -437,21 +423,27 @@ def is_compatible_ds(lat: Lattice, d) -> bool:
     return _is_deductive(lat, m) and _is_compatible(lat, m)
 
 
-def _is_compatible(lat: Lattice, d: int) -> bool:
-    """is_compatible_ds on the mask of a deductive system, such as a
-    member of all_deductive_systems; deductivity is not decided again.
+def _compatibility(lat: Lattice, d: int) -> tuple[Rows, bool]:
+    """Theta(d), built once, and the verdict of is_compatible_ds on the
+    mask of a deductive system; deductivity is not decided again.
     Hypothesis step: for a value X within d, no value outside d lies
     within W(X), the t with x->t within d for all x in X. As d is
     deductive, W(X) lies within d unless X is empty (within-d rows of
     members of d do), and W of the empty X is the carrier: the step fails
     when the union of the values, taken only if one is empty, leaves d.
-    That union is memoised."""
+    That union is memoised on the lattice."""
     def hypothesis_mask():
         values = [v for row in implies_index(lat) for v, _ in row]
         return functools.reduce(operator.or_, values) if 0 in values else 0
-    if lat.memo("hypothesis_mask", hypothesis_mask) & ~d:
-        return False
-    return _substitutes(implies_masks(lat), _theta(lat, d), _within_rows(lat, d))
+    within = _within_rows(lat, d)
+    rows = _both_ways(within)
+    return rows, (not lat.memo("hypothesis_mask", hypothesis_mask) & ~d
+                  and _substitutes(implies_masks(lat), rows, within))
+
+
+def _is_compatible(lat: Lattice, d: int) -> bool:
+    """The verdict of _compatibility alone; nothing is memoised per system."""
+    return _compatibility(lat, d)[1]
 
 
 def compatible_systems(lat: Lattice, cap: int = SUBSET_CAP) -> list[frozenset]:
@@ -568,24 +560,24 @@ def _within(a: Rows, b: Rows) -> bool:
 def check_filters_vs_deductive_systems(lat: Lattice,
                                        cap: int = SUBSET_CAP) -> tuple[CheckResult, ...]:
     """Every deductive system is an order filter; internally implication
-    closed ones are filters; on modular lattices every filter is one.
-    The second law holds on every real table: D is an order filter, as
-    every candidate is, and for x, y in D, x->(x^y) = x+ v (x ^ y) = x->y
-    lies within D, so the deductive D holds x ^ y. It stays a scan
-    because a placed table can break it."""
+    closed ones, x->y within D for all x, y in D, are filters; on modular
+    lattices every filter is one. The second law holds on every real
+    table: D is an order filter, as every candidate is, and for x, y in
+    D, x->(x^y) = x+ v (x ^ y) = x->y lies within D, so the deductive D
+    holds x ^ y. It stays a scan because a placed table can break it."""
     comp = is_complemented(lat)
     modular = comp and is_modular(lat)
     systems = [(d,) for d in all_deductive_systems(lat, cap).masks]
+    index = implies_index(lat)
 
     def implication_closed(d):
-        within = _within_rows(lat, d)
-        return not any(d & ~within[x] for x in members(d))
+        return not any(v & ~d and cols & d for x in members(d) for v, cols in index[x])
 
     return (
         law("every deductive system an order filter",
             lambda d: _is_order_filter(lat, d), systems, comp, _sets(lat, "D")),
         law("internally implication-closed systems are filters",
-            lambda d: not implication_closed(d) or _is_filter(lat, d),
+            lambda d: _is_filter(lat, d) or not implication_closed(d),
             systems, comp, _sets(lat, "D")),
         law("every filter a deductive system", lambda f: _is_deductive(lat, f),
             ((f,) for f in _filter_masks(lat)), modular, _sets(lat, "F")),
@@ -663,11 +655,17 @@ def check_substitution_equivalences(lat: Lattice, seed: int = 0) -> tuple[CheckR
     stays only because bench/probe.py passes it. When column bottom of
     the -> table is complement_masks, as a->0 = a+ v {0} = a+ on every
     lattice, the property at column bottom is the complement substitution
-    property, so every member has it and no member is tested."""
+    property, so every member has it and no member is tested. Nor is one
+    for "within theta of kernel" when every a->a is {1}: for (x, y) in a
+    member E, the property at column y relates each u in x->y to 1, the
+    only member of y->y, so x->y lies in the kernel, the class of 1; so
+    does y->x by symmetry, and (x, y) is in Theta(kernel). Placed tables
+    and non-complemented lattices (an empty a+ gives a->a empty) are scanned."""
     asserted = is_complemented(lat)
     kernels = [(_kernel(lat, rows), rows) for rows in _substitution_family(lat)]
     it, cm = implies_masks(lat), complement_masks(lat)
     sp_plus_proved = all(row[lat.bottom] == c for row, c in zip(it, cm))
+    theta_proved = all(row[a] == 1 << lat.top for a, row in enumerate(it))
     return (
         law("implication substitution gives complement substitution",
             lambda k, rows: sp_plus_proved or _has_sp_plus(lat, rows), kernels, asserted,
@@ -675,7 +673,7 @@ def check_substitution_equivalences(lat: Lattice, seed: int = 0) -> tuple[CheckR
         law("kernel a deductive system", lambda k, rows: _is_deductive(lat, k),
             kernels, asserted, _sets(lat, "kernel")),
         law("relation within theta of kernel",
-            lambda k, rows: _within(rows, _theta(lat, k)),
+            lambda k, rows: theta_proved or _within(rows, _theta(lat, k)),
             kernels, asserted, _sets(lat, "kernel")),
         CheckResult(f"surveyed {len(kernels)} substitution equivalences", True,
                     None, asserted=False),
@@ -688,15 +686,18 @@ def check_compatible_kernel_recovery(lat: Lattice,
     """For every compatible deductive system D: theta(D) is an equivalence
     with the implication substitution property and kernel exactly D. For
     the other systems the transitivity verdict is recorded only. The
-    substitution property is reported as passed: _is_compatible
+    substitution property is reported as passed: _compatibility
     showed that (a, b) in Theta(D) puts y in within[x] for x in a->c and
     y in b->c; Theta(D) is symmetric, so (b, a) puts x in within[y], and
     together these give (x, y) in Theta(D) = _both_ways(within)."""
     comp = is_complemented(lat)
     compat, other = [], []
     for d in all_deductive_systems(lat, cap).masks:
-        (compat if _is_compatible(lat, d) else other).append((d, _theta(lat, d)))
-    other_transitive = sum(_is_equivalence(rows) for _, rows in other)
+        rows, ok = _compatibility(lat, d)
+        if ok:
+            compat.append((d, rows))
+        else:
+            other.append(_is_equivalence(rows))
 
     return (
         law("theta of compatible systems an equivalence",
@@ -707,6 +708,6 @@ def check_compatible_kernel_recovery(lat: Lattice,
             compat, comp, _sets(lat, "D")),
         CheckResult(
             f"{len(compat)} compatible systems; theta transitive for "
-            f"{other_transitive} of {len(other)} non-compatible ones",
+            f"{sum(other)} of {len(other)} non-compatible ones",
             True, None, asserted=False),
     )

@@ -124,6 +124,18 @@ def test_enumeration_filters():
     assert len(dist) == 2
 
 
+def test_filtered_enumeration_keeps_the_unfiltered_order():
+    """Filters are applied as the walk keeps each lattice: the result is
+    the unfiltered list with the others left out, in the same order."""
+    for n in range(2, 9):
+        every = enumerate_lattices(n)
+        for tags in (("complemented",), ("modular",), ("distributive",),
+                     ("dblplus_identity",), ("complemented", "modular")):
+            want = [lat for lat in every if set(tags) <= tags_of(lat)]
+            got = enumerate_lattices(n, frozenset(tags))
+            assert [lat._up for lat in got] == [lat._up for lat in want], (n, tags)
+
+
 def test_enumeration_no_isomorphic_pair():
     lats = enumerate_lattices(6)
     for a, b in itertools.combinations(lats, 2):

@@ -273,12 +273,36 @@ def test_filters_are_the_up_sets_on_every_small_lattice():
     assert tried == 7948
 
 
-def test_reflexivity_reads_theta_of_the_least_system():
+def test_reflexivity_reads_theta_of_the_least_system(monkeypatch):
     """The family is intersection closed, so Theta of its least member
-    decides reflexivity; B:4 has 16 systems but one Theta is built."""
+    decides reflexivity; B:4 has 16 systems but one Theta is built. Every
+    Theta is built from the within-D rows, so their calls count them."""
+    import latkit.deduction as dmod
+    within, built = dmod._within_rows, []
+
+    def counted(lat, d):
+        built.append(d)
+        return within(lat, d)
+    monkeypatch.setattr(dmod, "_within_rows", counted)
     lat = make_boolean(4)
     check_deductive_family(lat)
-    assert list(lat._memo["theta"]) == [all_deductive_systems(lat).masks[0]]
+    assert built == [all_deductive_systems(lat).masks[0]]
+
+
+def test_memo_stays_bounded_over_every_subset():
+    """theta and is_compatible_ds on all 4,096 subsets of fig2 leave the
+    memo exactly as one call of each on the carrier does: no entry per
+    subset stays alive."""
+    one, every = make_fig2(), make_fig2()
+    theta(one, one.universe)
+    assert is_compatible_ds(one, one.universe)
+    subsets = _subsets(every)
+    assert len(subsets) == 4096
+    for d in subsets:
+        theta(every, d)
+        is_compatible_ds(every, d)
+    assert set(every._memo) == set(one._memo)
+    assert every._memo == one._memo
 
 
 def test_suite_walks_the_order_filters_once(monkeypatch):

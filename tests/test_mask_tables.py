@@ -66,7 +66,6 @@ SUITE_MEMO_KEYS = {
     "both_orders", "complement_masks", "covers", "dblplus_masks",
     "deductive_systems", "hypothesis_mask", "implies_index", "implies_masks",
     "is_complemented", "is_modular", "join_bits", "meet_bits", "odot_masks",
-    "theta", "within_rows",
 }
 
 

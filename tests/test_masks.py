@@ -240,9 +240,10 @@ DEDUCTION_CHECKS = (check_filters_vs_deductive_systems, check_deductive_family,
 
 def test_deduction_results_do_not_depend_on_call_order():
     """theta, is_compatible_ds and the five deduction checks share the
-    within-row and theta memos of a lattice; on fresh lattices, real and
-    corrupted, the public calls before the checks in suite order agree
-    with the checks in reverse order before the public calls."""
+    memoised tables and deductive family of a lattice, and no entry per
+    system; on fresh lattices, real and corrupted, the public calls
+    before the checks in suite order agree with the checks in reverse
+    order before the public calls."""
     rng = random.Random(13)
 
     def run(lat, steps):

@@ -19,15 +19,17 @@ from latkit.complementation import (_count_by_components, _is_polarity,
                                     check_modular_antichains, closed_count,
                                     closed_masks, closure_lattice, complement_sets)
 from latkit.connectives import implies_table
-from latkit.core import antichain_mask, check_lattice_axioms, format_element_set, members
+from latkit.core import (antichain_mask, check_lattice_axioms, format_element_set,
+                         is_complemented, members)
 from latkit.corpus import (default_corpus, direct_product, enumerate_lattices, make_boolean,
-                           make_chain, make_M3, make_Mn, named_lattice)
+                           make_chain, make_fig2, make_M3, make_Mn, named_lattice)
+from latkit.deduction import SUBSTITUTION_CAP, check_substitution_equivalences
 from latkit.errors import SizeCapExceeded
-from latkit.report import CheckResult
+from latkit.report import SKIPPED, CheckResult
 from latkit.suite import closure_report
 
-from .oracles import (brute_lattice_axioms, brute_substitution_family,
-                      merge_walk_substitution_family)
+from .oracles import (brute_lattice_axioms, brute_substitution_equivalences,
+                      brute_substitution_family, merge_walk_substitution_family)
 from .strategies import SMALL, fresh, place
 from .test_galois_exact import corrupted_tables
 
@@ -111,6 +113,33 @@ def test_premise_paths_match_the_family_scans():
         assert [(r.name, r.passed) for r in rep.results] == closure_report_by_scan(work), work
         seen.add(("polarity", _is_polarity(work)))
     assert seen == {True, False, ("polarity", True), ("polarity", False)}
+
+
+def test_theta_premise_variants_match_the_brute_scan():
+    """check_substitution_equivalences proves "relation within theta of
+    kernel" when every a->a is {1}. On every complemented lattice of
+    SMALL, fig2 and B:3, with a->a emptied or flipped (every membership)
+    for one a at a time and for all a at once, the premise fails and the
+    report equals the brute scan's; the law fails on some variant, so
+    the scan path can still fail."""
+    lats = [lat for lat in SMALL if is_complemented(lat)] + [make_fig2(), make_boolean(3)]
+    verdicts = set()
+    for lat in lats:
+        it, full = implies_table(lat), frozenset(lat.elements)
+        assert all(it[a][a] == {lat.top} for a in lat.elements), lat
+        for diagonal in [(a,) for a in lat.elements] + [lat.elements]:
+            for cell in (frozenset(), full - {lat.top}):
+                table = [list(row) for row in it]
+                for a in diagonal:
+                    table[a][a] = cell
+                work = fresh(lat)
+                place(work, "implies_table", table)
+                got = check_substitution_equivalences(work)
+                assert got == brute_substitution_equivalences(
+                    work, implies_table(work), complement_sets(work), SUBSTITUTION_CAP), lat
+                if got.results[0].name != SKIPPED:
+                    verdicts.add(got.find("relation within theta of kernel").passed)
+    assert verdicts == {True, False}
 
 
 def test_lattice_axioms_on_real_tables_match_the_scan():
